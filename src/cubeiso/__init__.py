@@ -61,7 +61,7 @@ from .search import (
     enumerate_monotone,
     strip_brute_min,
 )
-from .symmetrize import ColumnProfile, is_symmetrized, steiner, symmetrize_all
+from .symmetrize import is_symmetrized, steiner, symmetrize_all
 from .variation import (
     ReductionStep,
     SliceData,
@@ -84,7 +84,6 @@ __all__ = [
     "AxisBox",
     "BruteResult",
     "ClassificationResult",
-    "ColumnProfile",
     "CompetitorCertificate",
     "CubeIsometry",
     "CubicalSet",

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance
-from .classify import ClassificationResult, classify, profile
+from .classify import ClassificationResult, classify, profile, profile2d
 from .enclosure import Enclosure, format_decimal
 from .errors import CubeIsoError, RationalParseError
 from .formats import (
@@ -218,7 +218,7 @@ def _search_rows(dim, res, cells_list, bits, jobs=1):
             bound_lo = bound_hi = Fraction(0)
             kinds = ""
         else:
-            entry = profile(v, bits=bits)
+            entry = (profile2d if dim == 2 else profile)(v, bits=bits)
             val = entry.value
             bound_lo, bound_hi = (
                 (val.lo, val.hi) if isinstance(val, Enclosure) else (val, val)
@@ -291,17 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
         if inp:
             sp.add_argument("input", help="set or voxel JSON file")
         sp.add_argument("--out", help="output path (default stdout)")
+
+    def precision(sp):
         sp.add_argument(
             "--precision-bits", type=int, default=64, help="enclosure width 2^-bits"
         )
-        sp.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     sp = sub.add_parser("profile", help="isoperimetric profile table")
     sp.add_argument("--volume", help="single volume p/q")
     sp.add_argument("--range", nargs=2, metavar=("LO", "HI"), help="volume range")
     sp.add_argument("--step", help="range step p/q")
     common(sp, inp=False)
+    precision(sp)
     sp.set_defaults(fn=_cmd_profile)
 
     sp = sub.add_parser("symmetrize", help="symmetrize a set along every axis")
@@ -326,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--res", type=int, required=True)
     sp.add_argument("--cells", type=int)
     sp.add_argument("--all-k", action="store_true")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
     common(sp, inp=False)
+    precision(sp)
     sp.set_defaults(fn=_cmd_search)
 
     sp = sub.add_parser("export-mesh", help="OBJ mesh of the interior boundary")
@@ -334,8 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_export_mesh)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    sp.add_argument("--only", type=int, help="run a single criterion")
-    common(sp, inp=False)
+    numbers = [num for num, _, _ in acceptance.ALL_CRITERIA]
+    sp.add_argument(
+        "--only",
+        type=int,
+        choices=numbers,
+        metavar=f"{numbers[0]}..{numbers[-1]}",
+        help="run a single criterion",
+    )
+    sp.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     sp.set_defaults(fn=_cmd_verify)
     return p
 

@@ -43,24 +43,11 @@ class Enclosure:
     def __contains__(self, q: Fraction) -> bool:
         return self.lo <= q <= self.hi
 
-    def cmp(self, q: Fraction) -> int | None:
-        """-1 / +1 when the enclosed value is certainly below / above ``q``;
-        None when ``q`` lies inside the interval."""
-        if self.hi < q:
-            return -1
-        if self.lo > q:
-            return 1
-        return None
-
     def __float__(self) -> float:
         return float(self.midpoint())
 
 
 Scalar = Union[Fraction, Enclosure]
-
-
-def as_enclosure(x: Scalar) -> Enclosure:
-    return x if isinstance(x, Enclosure) else Enclosure(x, x)
 
 
 def iroot(k: int, n: int) -> tuple[int, bool]:
@@ -69,12 +56,14 @@ def iroot(k: int, n: int) -> tuple[int, bool]:
         raise DomainError("iroot requires k >= 0, n >= 1")
     if k in (0, 1) or n == 1:
         return k, True
-    r = int(round(k ** (1.0 / n)))
-    while r**n > k:
-        r -= 1
-    while (r + 1) ** n <= k:
-        r += 1
-    return r, r**n == k
+    # Integer Newton from a seed above the root: the iterates decrease
+    # until they reach the floor root, with no float range or rounding.
+    r = 1 << -(-k.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + k // r ** (n - 1)) // n
+        if s >= r:
+            return r, r**n == k
+        r = s
 
 
 def exact_nth_root(x: Fraction, n: int) -> Fraction | None:
@@ -96,14 +85,6 @@ def nth_root(x: Fraction, n: int, bits: int = DEFAULT_BITS) -> Scalar:
         return exact
     lo, hi = Fraction(0), max(Fraction(1), x)
     return bisect_enclosure(lambda t: t**n - x, lo, hi, bits)
-
-
-def sqrt(x: Fraction, bits: int = DEFAULT_BITS) -> Scalar:
-    return nth_root(x, 2, bits)
-
-
-def cbrt(x: Fraction, bits: int = DEFAULT_BITS) -> Scalar:
-    return nth_root(x, 3, bits)
 
 
 def bisect_enclosure(
@@ -166,19 +147,6 @@ def cmp_power(c: Fraction, x: Fraction, p: int, q: int, r: Fraction) -> int:
     lhs = c**q * x**p
     rhs = r**q
     return (lhs > rhs) - (lhs < rhs)
-
-
-def scalar_lt(a: Scalar, b: Scalar) -> bool:
-    """Certified strict ``a < b``; raises if the enclosures overlap."""
-    ea, eb = as_enclosure(a), as_enclosure(b)
-    if ea.hi < eb.lo:
-        return True
-    if eb.hi < ea.lo or (ea.is_exact and eb.is_exact and ea.lo == eb.lo):
-        return False
-    raise DomainError(
-        f"enclosures [{ea.lo},{ea.hi}] and [{eb.lo},{eb.hi}] overlap; "
-        "refine before comparing"
-    )
 
 
 def format_decimal(q: Fraction, digits: int = 12, rounding: str = "nearest") -> str:

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionCapError
-from .geometry import VoxelSet, all_isometries
+from .geometry import (
+    VoxelSet,
+    _all_subsets,
+    _face_counts,
+    _steiner_cells,
+    _transform_cells,
+    all_isometries,
+)
 
 __all__ = ["AuditOutcome", "equality_case_audit"]
 
@@ -39,49 +46,21 @@ class AuditOutcome:
         return not self.violations and not self.stopped_early
 
 
-def _faces_batch(occ: np.ndarray) -> np.ndarray:
-    n = occ.shape[0]
-    total = np.zeros(n, dtype=np.int64)
-    for axis in range(1, occ.ndim):
-        a = np.moveaxis(occ, axis, 1)
-        total += (a[:, 1:] != a[:, :-1]).reshape(n, -1).sum(axis=1)
-    return total
-
-
-def _steiner_batch(occ: np.ndarray, axis: int) -> np.ndarray:
-    res = occ.shape[-1]
-    moved = np.moveaxis(occ, axis + 1, -1)
-    counts = moved.sum(axis=-1)
-    new = np.arange(res) < counts[..., None]
-    return np.moveaxis(new, -1, axis + 1)
-
-
-def _transform_batch(occ: np.ndarray, perm, flips) -> np.ndarray:
-    arr = np.transpose(occ, (0,) + tuple(1 + p for p in perm))
-    for i, f in enumerate(flips):
-        if f:
-            arr = np.flip(arr, axis=1 + i)
-    return arr
-
-
 def _audit_small(dim: int, res: int, limit: int) -> AuditOutcome:
     n_cells = res**dim
-    n = 1 << n_cells
-    bits = (
-        (np.arange(n, dtype=np.uint64)[:, None] >> np.arange(n_cells, dtype=np.uint64)) & 1
-    ).astype(bool)
-    occ = bits.reshape((n,) + (res,) * dim)
-    perim = _faces_batch(occ)
+    occ = _all_subsets(dim, res)
+    n = len(occ)
+    perim = _face_counts(occ, dim)
     isos = [(g.perm, g.flip) for g in all_isometries(dim)]
     violations = []
     preserved_total = 0
     for axis in range(dim):
-        sym = _steiner_batch(occ, axis)
-        eq = perim == _faces_batch(sym)
+        sym = _steiner_cells(occ, dim, axis)
+        eq = perim == _face_counts(sym, dim)
         preserved_total += int(eq.sum())
         matched = np.zeros(n, dtype=bool)
         for perm, flips in isos:
-            tr = _transform_batch(occ, perm, flips)
+            tr = _transform_cells(occ, dim, perm, flips)
             matched |= (tr == sym).reshape(n, -1).all(axis=1)
         bad = np.flatnonzero(eq & ~matched)
         for mask in bad[: max(0, limit - len(violations))]:

@@ -5,11 +5,18 @@ in finitely many axis-orthogonal hyperplanes, stored as a canonical list of
 pairwise interior-disjoint closed boxes with rational corners.  All
 arithmetic uses :class:`fractions.Fraction`; nothing in this module rounds.
 
-Canonical form: the grid induced by all distinct box coordinates per axis
-partitions the union into cells, which are then greedily re-merged along
-axis 0, then 1, and so on.  Two sets are equal as point sets (up to measure
-zero, which the closed canonicalisation erases) exactly when their canonical
-box tuples are equal.
+Every grid computation works on one occupancy grid: per axis, the sorted
+distinct box coordinates together with 0 and 1 cut the cube into cells, and
+a boolean array marks the occupied ones.  Canonical form greedily re-merges
+the occupied cells along axis 0, then 1, and so on.  Two sets are equal as
+point sets (up to measure zero, which the closed canonicalisation erases)
+exactly when their canonical box tuples are equal.  Relative perimeter is a
+weighted count of the faces between adjacent cells of different occupancy.
+
+The same occupancy kernels (face counts, the Steiner column push, signed
+axis permutations, the monotonicity test) serve :class:`VoxelSet` and
+batches of voxel sets: each acts on the trailing ``dim`` axes of a boolean
+array.
 """
 
 from __future__ import annotations
@@ -198,18 +205,13 @@ class CubicalSet:
     def relative_perimeter(self) -> Fraction:
         """(n-1)-measure of the boundary away from the cube walls.
 
-        Computed by the axis sweep: for each axis and each internal grid
-        plane, add the area of the symmetric difference of the one-sided
-        cross-sections.
+        A weighted face count on the set's occupancy grid: every pair of
+        adjacent cells with different occupancy adds the exact area of the
+        face the two cells share.
         """
         if self._relper is None:
-            total = ZERO
-            for axis in range(self.dim):
-                for s in self.internal_coords(axis):
-                    below = self.cross_section(axis, s, "below")
-                    above = self.cross_section(axis, s, "above")
-                    total += below.sym_difference(above).volume()
-            object.__setattr__(self, "_relper", total)
+            grids, occ = _occupancy(self)
+            object.__setattr__(self, "_relper", _face_area(grids, occ))
         return self._relper
 
     # -- grids and sections --------------------------------------------
@@ -281,30 +283,18 @@ class CubicalSet:
         return CubicalSet(self.dim, [iso.apply_box(b) for b in self.boxes])
 
 
-def _canonicalize(dim: int, boxes: tuple) -> tuple:
-    for b in boxes:
-        if b.dim != dim:
-            raise DimensionMismatchError(
-                f"box of dim {b.dim} in a dim-{dim} set"
-            )
-    if dim == 0:
-        return (AxisBox((), ()),) if boxes else ()
-    if not boxes:
-        return ()
-    grids = [sorted({c for b in boxes for c in b.interval(i)}) for i in range(dim)]
-    occ = _fill(grids, boxes)
-    idx_boxes = [
-        tuple((int(i), int(i) + 1) for i in cell) for cell in np.argwhere(occ)
-    ]
-    for axis in range(dim):
-        idx_boxes = _merge_along(idx_boxes, axis)
-    out = []
-    for cell in idx_boxes:
-        lo = tuple(grids[i][cell[i][0]] for i in range(dim))
-        hi = tuple(grids[i][cell[i][1]] for i in range(dim))
-        out.append(AxisBox(lo, hi))
-    out.sort(key=lambda b: (b.lo, b.hi))
-    return tuple(out)
+# -- the occupancy grid -------------------------------------------------------
+
+
+def _cuts(dim: int, boxes: Iterable[AxisBox]) -> list[list[Fraction]]:
+    """Per axis, the sorted distinct box coordinates together with 0 and 1."""
+    grids = []
+    for i in range(dim):
+        s = {ZERO, ONE}
+        for b in boxes:
+            s.update(b.interval(i))
+        grids.append(sorted(s))
+    return grids
 
 
 def _fill(grids: list, boxes: Iterable[AxisBox]) -> np.ndarray:
@@ -320,36 +310,116 @@ def _fill(grids: list, boxes: Iterable[AxisBox]) -> np.ndarray:
     return occ
 
 
-def _combine(x: CubicalSet, y: CubicalSet, op) -> CubicalSet:
-    if x.dim != y.dim:
-        raise DimensionMismatchError("boolean operation dimension mismatch")
-    dim = x.dim
-    if dim == 0:
-        a = not x.is_empty
-        b = not y.is_empty
-        res = bool(op(np.bool_(a), np.bool_(b)))
-        return CubicalSet.unit(0) if res else CubicalSet.empty(0)
-    grids = []
-    for i in range(dim):
-        s = {ZERO, ONE}
-        for b in x.boxes:
-            s.update(b.interval(i))
-        for b in y.boxes:
-            s.update(b.interval(i))
-        grids.append(sorted(s))
-    occ = op(_fill(grids, x.boxes), _fill(grids, y.boxes))
+def _occupancy(x: CubicalSet) -> tuple[list[list[Fraction]], np.ndarray]:
+    """The set's cuts per axis and its occupancy array on their cells."""
+    grids = _cuts(x.dim, x.boxes)
+    return grids, _fill(grids, x.boxes)
+
+
+def _grid_boxes(grids: list, occ: np.ndarray) -> tuple[AxisBox, ...]:
+    """Canonical boxes of the occupied cells of a grid."""
     idx_boxes = [
         tuple((int(i), int(i) + 1) for i in cell) for cell in np.argwhere(occ)
     ]
-    for axis in range(dim):
+    for axis in range(len(grids)):
         idx_boxes = _merge_along(idx_boxes, axis)
     out = []
     for cell in idx_boxes:
-        lo = tuple(grids[i][cell[i][0]] for i in range(dim))
-        hi = tuple(grids[i][cell[i][1]] for i in range(dim))
+        lo = tuple(g[a] for g, (a, _) in zip(grids, cell))
+        hi = tuple(g[b] for g, (_, b) in zip(grids, cell))
         out.append(AxisBox(lo, hi))
     out.sort(key=lambda b: (b.lo, b.hi))
-    return CubicalSet(dim, tuple(out), _canonical=True)
+    return tuple(out)
+
+
+def _canonicalize(dim: int, boxes: tuple) -> tuple:
+    for b in boxes:
+        if b.dim != dim:
+            raise DimensionMismatchError(
+                f"box of dim {b.dim} in a dim-{dim} set"
+            )
+    grids = _cuts(dim, boxes)
+    return _grid_boxes(grids, _fill(grids, boxes))
+
+
+def _combine(x: CubicalSet, y: CubicalSet, op) -> CubicalSet:
+    if x.dim != y.dim:
+        raise DimensionMismatchError("boolean operation dimension mismatch")
+    grids = _cuts(x.dim, x.boxes + y.boxes)
+    occ = op(_fill(grids, x.boxes), _fill(grids, y.boxes))
+    return CubicalSet(x.dim, _grid_boxes(grids, occ), _canonical=True)
+
+
+def _face_area(grids: list, occ: np.ndarray) -> Fraction:
+    """Total area of the faces between adjacent cells of different
+    occupancy; faces on the cube walls do not count."""
+    widths = [[b - a for a, b in zip(g, g[1:])] for g in grids]
+    total = ZERO
+    for axis in range(len(grids)):
+        cells, succ = _neighbours(occ, axis)
+        changes = np.count_nonzero(cells != succ, axis=axis)  # per line
+        others = widths[:axis] + widths[axis + 1:]
+        for idx in np.argwhere(changes):
+            area = ONE
+            for w, i in zip(others, idx):
+                area *= w[i]
+            total += int(changes[tuple(idx)]) * area
+    return total
+
+
+# -- occupancy kernels: the trailing ``dim`` axes of ``occ`` hold one set ------
+
+
+def _neighbours(occ: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of every cell that has a successor along ``axis``, and of
+    that successor."""
+    before = (slice(None),) * (axis % occ.ndim)
+    return occ[before + (slice(None, -1),)], occ[before + (slice(1, None),)]
+
+
+def _face_counts(occ: np.ndarray, dim: int):
+    """Number of faces between adjacent cells of different occupancy."""
+    lead = occ.ndim - dim
+    sets = tuple(range(lead, occ.ndim)) if lead else None
+    total = 0
+    for axis in range(lead, occ.ndim):
+        cells, succ = _neighbours(occ, axis)
+        total = total + np.count_nonzero(cells != succ, axis=sets)
+    return total
+
+
+def _steiner_cells(occ: np.ndarray, dim: int, axis: int) -> np.ndarray:
+    """Push every column along ``axis`` down to a run anchored at cell 0."""
+    axis -= dim
+    heights = occ.sum(axis=axis, keepdims=True)
+    ramp = np.arange(occ.shape[axis]).reshape((-1,) + (1,) * (-axis - 1))
+    return ramp < heights
+
+
+def _transform_cells(occ: np.ndarray, dim: int, perm, flip) -> np.ndarray:
+    """Signed axis permutation: axis ``i`` of the result reads source axis
+    ``perm[i]``, reversed where ``flip[i]``."""
+    lead = occ.ndim - dim
+    arr = np.transpose(occ, tuple(range(lead)) + tuple(lead + p for p in perm))
+    return arr[(...,) + tuple(slice(None, None, -1 if f else 1) for f in flip)]
+
+
+def _is_monotone_cells(occ: np.ndarray, dim: int) -> bool:
+    """True when occupancy never increases along any axis."""
+    for axis in range(occ.ndim - dim, occ.ndim):
+        cells, succ = _neighbours(occ, axis)
+        if np.any(succ & ~cells):
+            return False
+    return True
+
+
+def _all_subsets(dim: int, res: int) -> np.ndarray:
+    """Every subset of the m^n grid as one batch: set ``k`` holds the cell
+    of flat index ``i`` exactly when bit ``i`` of ``k`` is set."""
+    n_cells = res**dim
+    masks = np.arange(1 << n_cells, dtype=np.uint64)[:, None]
+    bits = (masks >> np.arange(n_cells, dtype=np.uint64)) & 1
+    return bits.astype(bool).reshape((1 << n_cells,) + (res,) * dim)
 
 
 # -- isometries of the cube -------------------------------------------------
@@ -493,39 +563,25 @@ class VoxelSet:
 
     def face_count(self) -> int:
         """Number of interior cell faces on the boundary (cube walls excluded)."""
-        total = 0
-        for axis in range(self.dim):
-            a = np.moveaxis(self.cells, axis, 0)
-            total += int(np.count_nonzero(a[1:] != a[:-1]))
-        return total
+        return int(_face_counts(self.cells, self.dim))
 
     def relative_perimeter(self) -> Fraction:
         return Fraction(self.face_count(), self.res ** (self.dim - 1))
 
     def steiner(self, axis: int) -> "VoxelSet":
         """Push every column along ``axis`` down to an anchored run."""
-        moved = np.moveaxis(self.cells, axis, -1)
-        counts = moved.sum(axis=-1)
-        new = np.arange(self.res) < counts[..., None]
-        return VoxelSet(self.res, np.moveaxis(new, -1, axis))
+        return VoxelSet(self.res, _steiner_cells(self.cells, self.dim, axis))
 
     def is_monotone(self) -> bool:
         """True when occupancy is non-increasing along every axis."""
-        for axis in range(self.dim):
-            a = np.moveaxis(self.cells, axis, 0)
-            if np.any(~a[:-1] & a[1:]):
-                return False
-        return True
+        return _is_monotone_cells(self.cells, self.dim)
 
     def apply(self, iso: CubeIsometry) -> "VoxelSet":
         if iso.dim != self.dim:
             raise DimensionMismatchError("isometry dimension mismatch")
-        # cells' axis i of the result reads source axis perm[i]
-        arr = np.transpose(self.cells, iso.perm)
-        for i, f in enumerate(iso.flip):
-            if f:
-                arr = np.flip(arr, axis=i)
-        return VoxelSet(self.res, arr)
+        return VoxelSet(
+            self.res, _transform_cells(self.cells, self.dim, iso.perm, iso.flip)
+        )
 
     def orbit_key(self) -> bytes:
         """Lexicographically smallest occupancy bytes over the full group."""
@@ -546,24 +602,17 @@ def voxelize(x: CubicalSet, res: int) -> VoxelSet:
         for c in b.lo + b.hi:
             if (c * res).denominator != 1:
                 raise AlignmentError(c, res)
-    occ = np.zeros((res,) * x.dim, dtype=bool)
-    for b in x.boxes:
-        sl = tuple(
-            slice(int(b.lo[i] * res), int(b.hi[i] * res)) for i in range(x.dim)
-        )
-        occ[sl] = True
-    return VoxelSet(res, occ)
+    return VoxelSet(res, _fill(_uniform_grids(x.dim, res), x.boxes))
 
 
 def devoxelize(v: VoxelSet) -> CubicalSet:
     """Canonical box union of the occupied cells."""
-    m = v.res
-    boxes = []
-    for cell in np.argwhere(v.cells):
-        lo = tuple(Fraction(int(c), m) for c in cell)
-        hi = tuple(Fraction(int(c) + 1, m) for c in cell)
-        boxes.append(AxisBox(lo, hi))
-    return CubicalSet(v.dim, boxes)
+    boxes = _grid_boxes(_uniform_grids(v.dim, v.res), v.cells)
+    return CubicalSet(v.dim, boxes, _canonical=True)
+
+
+def _uniform_grids(dim: int, res: int) -> list[list[Fraction]]:
+    return [[Fraction(k, res) for k in range(res + 1)]] * dim
 
 
 # -- boundary faces (for mesh export and slice analysis) ---------------------

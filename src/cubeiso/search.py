@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, ResolutionCapError
-from .geometry import VoxelSet
+from .geometry import VoxelSet, _all_subsets, _face_counts
 
 __all__ = [
     "MonotoneShape",
@@ -258,15 +258,9 @@ def brute_min(dim: int, res: int, cells: int, sweep: Optional[dict] = None) -> B
 def _all_subsets_minima(dim: int, res: int) -> dict:
     """Per-cell-count minima over every voxel subset (vectorized)."""
     n_cells = res**dim
-    n_sets = 1 << n_cells
-    masks = np.arange(n_sets, dtype=np.uint32)
-    bits = (masks[:, None] >> np.arange(n_cells, dtype=np.uint32)) & 1
-    occ = bits.astype(bool).reshape((n_sets,) + (res,) * dim)
-    counts = bits.sum(axis=1)
-    faces = np.zeros(n_sets, dtype=np.int64)
-    for axis in range(1, dim + 1):
-        a = np.moveaxis(occ, axis, 1)
-        faces += (a[:, 1:] != a[:, :-1]).reshape(n_sets, -1).sum(axis=1)
+    occ = _all_subsets(dim, res)
+    counts = occ.reshape(len(occ), -1).sum(axis=1)
+    faces = _face_counts(occ, dim)
     out: dict[int, tuple[int, list]] = {}
     for k in range(n_cells + 1):
         sel = counts == k

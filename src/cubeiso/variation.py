@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import ONE, ZERO, AxisBox, CubicalSet, as_rat
-from .symmetrize import is_symmetrized, symmetrize_all
+from .symmetrize import _build_profile, _Profile, is_symmetrized, symmetrize_all
 
 __all__ = [
     "SliceData",
@@ -52,118 +52,11 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-# -- height profiles ---------------------------------------------------------
-
-
-class _Profile:
-    """Height function of a symmetrized set over the grid perpendicular to
-    one axis: ``heights[idx]`` is the column measure of the grid cell."""
-
-    __slots__ = ("dim", "axis", "grids", "heights")
-
-    def __init__(self, dim, axis, grids, heights):
-        self.dim = dim
-        self.axis = axis
-        self.grids = grids  # per base axis: sorted cuts including 0 and 1
-        self.heights = heights  # dict: cell index tuple -> Fraction
-
-    def cell_area(self, idx) -> Fraction:
-        a = ONE
-        for g, i in zip(self.grids, idx):
-            a *= g[i + 1] - g[i]
-        return a
-
-    def level_cells(self, s: Fraction) -> list:
-        return [idx for idx, h in self.heights.items() if h == s]
-
-    def level_area(self, s: Fraction) -> Fraction:
-        return sum((self.cell_area(i) for i in self.level_cells(s)), ZERO)
-
-    def levels(self) -> list[Fraction]:
-        return sorted({h for h in self.heights.values()})
-
-    def interior_levels(self) -> list[Fraction]:
-        return [v for v in self.levels() if ZERO < v < ONE]
-
-    def volume(self) -> Fraction:
-        return sum(
-            (h * self.cell_area(idx) for idx, h in self.heights.items()), ZERO
-        )
-
-    def edge_length(self, idx, j) -> Fraction:
-        e = ONE
-        for k, g in enumerate(self.grids):
-            if k != j:
-                e *= g[idx[k] + 1] - g[idx[k]]
-        return e
-
-    def to_set(self) -> CubicalSet:
-        boxes = []
-        for idx, h in self.heights.items():
-            if h == 0:
-                continue
-            lo, hi = [], []
-            k = 0
-            for j in range(self.dim):
-                if j == self.axis:
-                    lo.append(ZERO)
-                    hi.append(h)
-                else:
-                    g = self.grids[k]
-                    lo.append(g[idx[k]])
-                    hi.append(g[idx[k] + 1])
-                    k += 1
-            boxes.append(AxisBox(tuple(lo), tuple(hi)))
-        return CubicalSet.from_boxes(self.dim, boxes)
-
-    def relative_perimeter(self) -> Fraction:
-        """Caps plus wall differences; valid for monotone height functions."""
-        total = ZERO
-        for idx, h in self.heights.items():
-            if ZERO < h < ONE:
-                total += self.cell_area(idx)
-            for j in range(len(self.grids)):
-                if idx[j] + 1 > len(self.grids[j]) - 2:
-                    continue  # neighbour would be past the far wall
-                nb = idx[:j] + (idx[j] + 1,) + idx[j + 1:]
-                diff = h - self.heights[nb]
-                if diff != 0:
-                    total += abs(diff) * self.edge_length(idx, j)
-        return total
-
-
-def _build_profile(x: CubicalSet, axis: int) -> _Profile:
-    grids = []
-    for j in range(x.dim):
-        if j == axis:
-            continue
-        cuts = {ZERO, ONE}
-        for b in x.boxes:
-            cuts.update(b.interval(j))
-        grids.append(sorted(cuts))
-    heights: dict = {}
-    if x.dim == 1:
-        heights[()] = sum((b.hi[0] - b.lo[0] for b in x.boxes), ZERO)
-        return _Profile(1, axis, grids, heights)
-    for idx in itertools.product(*[range(len(g) - 1) for g in grids]):
-        heights[idx] = ZERO
-    other_axes = [j for j in range(x.dim) if j != axis]
-    for b in x.boxes:
-        length = b.hi[axis] - b.lo[axis]
-        spans = []
-        for k, j in enumerate(other_axes):
-            g = grids[k]
-            spans.append(range(g.index(b.lo[j]), g.index(b.hi[j])))
-        for idx in itertools.product(*spans):
-            heights[idx] += length
-    return _Profile(x.dim, axis, grids, heights)
-
-
 def monotone_relative_perimeter(x: CubicalSet) -> Fraction:
     """Relative perimeter via one height profile; requires a symmetrized set.
 
-    Independent of the axis-sweep implementation in :mod:`cubeiso.geometry`;
-    the two routes are cross-checked in the test suite.
+    Independent of the weighted face count in :mod:`cubeiso.geometry`; the
+    two routes are cross-checked in the test suite.
     """
     return _build_profile(x, 0).relative_perimeter()
 
@@ -361,7 +254,11 @@ def _joint_motion(
         if v < s_shrink:
             kind = "slice-hits-0" if v == ZERO else "slice-area-changes"
             candidates.append(((s_shrink - v) * a_s, kind))
-    t_star, kind = min(candidates, key=lambda c: (c[0], c[1]))
+    # On a tie the wall event wins: a level that reaches 0 or 1 vanishes,
+    # so the perimeter change of that step is not linear in ``t``.
+    t_star, kind = min(
+        candidates, key=lambda c: (c[0], not c[1].startswith("slice-hits"), c[1])
+    )
     p_grow = s_grow + t_star / a_g
     p_shrink = s_shrink - t_star / a_s
     for idx in grow_cells:

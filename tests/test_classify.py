@@ -204,6 +204,11 @@ class TestProfile:
         v = profile(F(1, 27)).value  # cube regime, (1/27)^(1/3) = 1/3
         assert v == F(1, 3)
 
+    def test_volume_below_float_range(self):
+        e = profile(F(1, 3 * 10**320))
+        assert e.kinds == frozenset({"cube"})
+        assert isinstance(e.value, Enclosure)
+
     def test_2d(self):
         e = profile2d(F(1, 4))
         assert e.kinds == frozenset({"square", "strip"})
@@ -236,6 +241,11 @@ class TestClassify:
         assert res.verdict == "tube"
         assert res.kinds == frozenset({"cube", "tube"})
         assert any("ties with cube" in n for n in res.notes)
+
+    def test_thin_slab_is_beaten(self):
+        # a slab far too thin to minimize, with a 100-digit denominator
+        x = cs(3, [((0, 0, 0), (F(1, 3 * 10**105), 1, 1))])
+        assert classify(x).verdict == "not_minimizer"
 
     def test_cube_below_tie(self):
         res = classify_special(realize("box", (F(2, 5),) * 3))

@@ -148,6 +148,32 @@ class TestCli:
         b = run_cli("search", "--dim", "2", "--res", "4", "--all-k")
         assert a.stdout == b.stdout
 
+    def test_search_2d_uses_planar_bound(self):
+        out = run_cli("search", "--dim", "2", "--res", "4", "--cells", "1")
+        assert out.returncode == 0
+        row = out.stdout.strip().splitlines()[1]
+        assert row == "2,4,1,1/16,1/2,0.500000000000..0.500000000000,1,square"
+
+    def test_options_only_where_used(self, tmp_path):
+        inp = tmp_path / "cube.json"
+        inp.write_text(set_to_json(realize("box", (HALF, HALF, HALF))))
+        for argv in (
+            ("classify", str(inp), "--seed", "1"),
+            ("symmetrize", str(inp), "--precision-bits", "8"),
+            ("profile", "--volume", "1/8", "--jobs", "2"),
+            ("verify", "--only", "1", "--precision-bits", "8"),
+        ):
+            out = run_cli(*argv)
+            assert out.returncode == 1, argv
+            assert "unrecognized arguments" in out.stderr
+        assert run_cli("profile", "--volume", "1/8", "--precision-bits", "8").returncode == 0
+
+    def test_verify_rejects_unknown_criterion(self):
+        out = run_cli("verify", "--only", "11")
+        assert out.returncode == 1
+        assert "invalid choice: 11" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_export_mesh_requires_3d(self, tmp_path):
         inp = tmp_path / "flat.json"
         inp.write_text(set_to_json(cs(2, [((0, 0), (HALF, HALF))])))

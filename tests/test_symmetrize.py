@@ -3,10 +3,12 @@
 from fractions import Fraction as F
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubeiso.geometry import CubicalSet, devoxelize, voxelize
+from cubeiso.geometry import CubicalSet, VoxelSet, boundary_faces, box, devoxelize, voxelize
 from cubeiso.sampling import random_voxel
-from cubeiso.symmetrize import column_profiles, is_symmetrized, steiner, symmetrize_all
+from cubeiso.symmetrize import _build_profile, is_symmetrized, steiner, symmetrize_all
 
 HALF = F(1, 2)
 
@@ -50,11 +52,11 @@ def test_checkerboard_symmetrizes_to_slab():
 def test_column_profiles_sum_to_volume():
     x = cs(2, [((0, 0), (HALF, 1)), ((0, 0), (1, HALF))])
     for axis in range(2):
-        profs = column_profiles(x, axis)
-        total = sum(p.measure * p.base.volume() for p in profs)
-        assert total == x.volume()
-        for p in profs:
-            assert (p.interval is None) == (p.measure == 0)
+        prof = _build_profile(x, axis)
+        total = sum(h * prof.cell_area(idx) for idx, h in prof.heights.items())
+        assert total == prof.volume() == x.volume()
+        assert prof.to_set() == steiner(x, axis)
+        assert sorted(prof.heights.values()) == [HALF, 1]
 
 
 def test_properties_on_random_voxel_sets():
@@ -100,3 +102,37 @@ def test_symmetrize_all_output_is_always_symmetrized():
         assert is_symmetrized(y)
         assert y.volume() == v.volume()
         assert y.relative_perimeter() <= v.relative_perimeter()
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 4099, 8191]
+
+
+@st.composite
+def grid_or_rational_sets(draw):
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 5))
+        cells = draw(st.lists(st.booleans(), min_size=m**dim, max_size=m**dim))
+        return devoxelize(VoxelSet(m, np.array(cells).reshape((m,) * dim)))
+    dens = [draw(st.sampled_from(PRIMES)) for _ in range(dim)]
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = [], []
+        for p in dens:
+            a = draw(st.integers(0, p - 1))
+            b = draw(st.integers(a + 1, p))
+            lo.append(F(a, p))
+            hi.append(F(b, p))
+        boxes.append(box(lo, hi))
+    return CubicalSet.from_boxes(dim, boxes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_or_rational_sets())
+def test_grid_kernel_laws(x):
+    sweep = sum((region.volume() for _, _, region in boundary_faces(x)), F(0))
+    assert x.relative_perimeter() == sweep
+    for y in (x, steiner(x, 0), symmetrize_all(x)):
+        assert is_symmetrized(y) == all(steiner(y, i) == y for i in range(y.dim))
+        for i in range(y.dim):
+            assert steiner(y, i).volume() == y.volume()

@@ -12,7 +12,8 @@ from cubeiso.errors import (
     NotSymmetrizedError,
     PreconditionError,
 )
-from cubeiso.geometry import CubicalSet
+from cubeiso.classify import classify
+from cubeiso.geometry import CubicalSet, VoxelSet
 from cubeiso.sampling import random_monotone_set
 from cubeiso.symmetrize import is_symmetrized
 from cubeiso.variation import (
@@ -362,3 +363,26 @@ class TestRandomizedMotions:
             assert is_special(y)
             assert y.volume() == x.volume()
             assert y.relative_perimeter() <= x.relative_perimeter()
+
+
+# A 5x5x5 voxel set of volume 14/25 (flat cell indices).  In one joint
+# motion of its complement's reduction a level reaches the wall at the same
+# exchanged volume as another level: the wall event must win the tie,
+# because the vanishing cap makes that step non-linear.
+WALL_TIE_CELLS = [
+    1, 4, 5, 8, 10, 13, 16, 18, 19, 20, 23, 24, 25, 27, 28, 29, 32, 33, 37,
+    38, 40, 41, 42, 43, 46, 48, 51, 54, 55, 57, 58, 60, 62, 63, 66, 67, 69,
+    72, 73, 74, 76, 77, 78, 79, 81, 83, 85, 86, 87, 90, 91, 96, 98, 99, 101,
+    102, 104, 105, 108, 110, 112, 113, 114, 116, 117, 118, 119, 120, 121, 123,
+]
+
+
+def test_wall_event_wins_a_tie():
+    x = VoxelSet.from_indices(3, 5, WALL_TIE_CELLS).to_cubical()
+    assert x.volume() == F(14, 25)
+    c = x.complement()
+    y, log = reduce_to_special(c)
+    assert is_special(y)
+    assert y.volume() == c.volume()
+    assert y.relative_perimeter() <= c.relative_perimeter()
+    assert classify(x).verdict == "not_minimizer"

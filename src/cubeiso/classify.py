@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from .enclosure import (
     DEFAULT_BITS,
     Enclosure,
@@ -36,6 +38,7 @@ from .geometry import (
     ZERO,
     CubeIsometry,
     CubicalSet,
+    _occupancy,
     as_rat,
 )
 from .variation import (
@@ -193,79 +196,61 @@ class SpecialFamily:
     params: tuple[Fraction, ...]
     witness: CubeIsometry  # witness maps the canonical realization onto x
 
-    def realize_canonical(self) -> CubicalSet:
-        return realize(self.tag, self.params)
+
+def _cells(occ: np.ndarray) -> tuple:
+    """Grid shape and occupied cells: the key of the family table."""
+    return occ.shape, occ.tobytes()
 
 
-def _detect_canonical(y: CubicalSet) -> Optional[tuple[str, tuple]]:
-    """Try to read family parameters off a set already in canonical
-    orientation; verification against ``realize`` is exact."""
-    bx = y.boxes
-    if len(bx) == 1 and bx[0].lo == (ZERO, ZERO, ZERO):
-        a, b, c = bx[0].hi
-        if c == ONE and b == ONE:
-            return ("slab", (a,)) if a < ONE else None
-        if c == ONE:
-            return ("tube", (a, b)) if a <= b else None
-        return ("box", (a, b, c)) if a <= b <= c else None
-    comp = y.complement()
-    if len(comp.boxes) == 1 and comp.boxes[0].hi == (ONE, ONE, ONE):
-        a, b, c = comp.boxes[0].lo
-        if ZERO < a <= b <= c < ONE and y == realize("tri_slab", (a, b, c)):
-            return ("tri_slab", (a, b, c))
-    # l_prism: constant extrusion along axis 2
-    tops = {b.hi[2] for b in bx}
-    if all(b.lo[2] == ZERO for b in bx) and len(tops) == 1:
-        c = tops.pop()
-        base = y.cross_section(2, ZERO, "above")
-        form = _classify_face(base)
-        if form.tag == "l_shape" and form.a <= form.b:
-            if y == realize("l_prism", (form.a, form.b, c)):
-                return ("l_prism", (form.a, form.b, c))
-    # slab_leg / tripod: read the far-wall faces
-    far = y.cross_section(0, ONE, "below")
-    if not far.is_empty and len(far.boxes) == 1:
-        leg = far.boxes[0]
-        if leg.lo == (ZERO, ZERO):
-            b, c = leg.hi
-            slabs = [bb for bb in bx if bb.hi[1] == ONE and bb.hi[2] == ONE]
-            if slabs and b <= c:
-                a = max(bb.hi[0] for bb in slabs)
-                if y == realize("slab_leg", (a, b, c)):
-                    return ("slab_leg", (a, b, c))
-            face_y = y.cross_section(1, ONE, "below")
-            face_z = y.cross_section(2, ONE, "below")
-            if len(face_y.boxes) == 1 and len(face_z.boxes) == 1:
-                a1, c1 = face_y.boxes[0].hi  # (a, c)
-                a2, b2 = face_z.boxes[0].hi  # (a, b)
-                if a1 == a2 and b2 == b and c1 == c:
-                    if y == realize("tripod", (a1, b, c)):
-                        return ("tripod", (a1, b, c))
-    return None
+# Each family's occupancy pattern in canonical orientation, read off a
+# realization at parameters 1/2 (and the full-height L-prism), with its
+# parameter count.
+_FAMILY_CELLS = {
+    _cells(_occupancy(realize(tag, sample))[1]): (tag, len(sample))
+    for tag, sample in (
+        ("box", (HALF, HALF, HALF)),
+        ("tube", (HALF, HALF)),
+        ("slab", (HALF,)),
+        ("tri_slab", (HALF, HALF, HALF)),
+        ("l_prism", (HALF, HALF, HALF)),
+        ("l_prism", (HALF, HALF, ONE)),
+        ("slab_leg", (HALF, HALF, HALF)),
+        ("tripod", (HALF, HALF, HALF)),
+    )
+}
 
 
 def special_family(x: CubicalSet) -> SpecialFamily:
     """Identify the family of a special set, with exact parameters and a
-    witness isometry mapping the canonical realization onto the input."""
+    witness isometry mapping the canonical realization onto the input.
+
+    A special set lives on a grid of at most 2 x 2 x 2 cells.  Under each
+    axis permutation its occupancy is looked up in the family table; the
+    parameters are the cuts, which are 1 on an axis without an interior
+    cut.  The least ``(tag, params)`` over the matching permutations wins,
+    which orders the parameters: box a <= b <= c, tube a <= b, l_prism
+    a <= b, slab_leg b <= c, tri_slab a <= b <= c.
+    """
     if x.dim != 3:
         raise DomainError("family classification is 3-dimensional")
     if not is_special(x):
         raise NotSpecialError("special_family requires a special set")
+    grids, occ = _occupancy(x)
     found = []
     for perm in itertools.permutations(range(3)):
-        g = CubeIsometry(perm, (False, False, False))
-        hit = _detect_canonical(x.apply(g))
+        hit = _FAMILY_CELLS.get(_cells(np.transpose(occ, perm)))
         if hit is not None:
-            found.append((hit[1], hit[0], g))
+            tag, arity = hit
+            found.append((tag, tuple(grids[p][1] for p in perm)[:arity], perm))
     if not found:
         raise InconsistentFamilyError(
             "special set matches no family realization"
         )
-    params, tag, g = min(found, key=lambda t: (t[1], t[0]))
-    witness = g.inverse()
+    tag, params, perm = min(found, key=lambda t: t[:2])
+    witness = CubeIsometry(perm, (False, False, False)).inverse()
     if realize(tag, params).apply(witness) != x:
         raise InternalCheckError("family witness failed to reproduce the set")
-    return SpecialFamily(tag, tuple(params), witness)
+    return SpecialFamily(tag, params, witness)
 
 
 # -- stationary parameters ----------------------------------------------------
@@ -473,10 +458,7 @@ def competitor(family: str, params) -> CompetitorCertificate:
     v = x.volume()
     if not ZERO < v <= HALF:
         raise DomainError("competitor construction assumes volume in (0, 1/2]")
-    if family == "tri_slab":
-        y = CubicalSet.from_coords(3, [((0, 0, 0), (v, 1, 1))])
-        return _make_certificate(x, y)
-    if family == "slab_leg":
+    if family in ("tri_slab", "slab_leg"):
         y = CubicalSet.from_coords(3, [((0, 0, 0), (v, 1, 1))])
         return _make_certificate(x, y)
     if family == "l_prism":
@@ -527,6 +509,15 @@ class ProfileEntry:
     at_tube_slab_tie: bool
 
 
+def _root_term(c: int, v: Fraction, n: int, p: int, bits: int) -> Scalar:
+    """``c * (v^(1/n))^p``: exact when the root is rational, otherwise an
+    enclosure of the root raised to ``p``."""
+    r = nth_root(v, n, bits)
+    if isinstance(r, Fraction):
+        return c * r**p
+    return Enclosure(c * r.lo**p, c * r.hi**p)
+
+
 def profile(volume, bits: int = DEFAULT_BITS) -> ProfileEntry:
     """Minimal relative perimeter min(3 V^(2/3), 2 V^(1/2), 1) with a
     certified argmin set; ties are reported, not broken."""
@@ -549,15 +540,9 @@ def profile(volume, bits: int = DEFAULT_BITS) -> ProfileEntry:
     if "slab" in kinds:
         value: Scalar = ONE
     elif "tube" in kinds:
-        r = nth_root(v, 2, bits)
-        value = 2 * r if isinstance(r, Fraction) else Enclosure(2 * r.lo, 2 * r.hi)
+        value = _root_term(2, v, 2, 1, bits)
     else:
-        r = nth_root(v, 3, bits)
-        value = (
-            3 * r * r
-            if isinstance(r, Fraction)
-            else Enclosure(3 * r.lo * r.lo, 3 * r.hi * r.hi)
-        )
+        value = _root_term(3, v, 3, 2, bits)
     return ProfileEntry(v, frozenset(kinds), value, v == V1, v == V2)
 
 
@@ -571,11 +556,7 @@ def profile2d(volume, bits: int = DEFAULT_BITS) -> ProfileEntry:
         kinds.add("square")
     if 4 * v >= 1:
         kinds.add("strip")
-    if "strip" in kinds:
-        value: Scalar = ONE
-    else:
-        r = nth_root(v, 2, bits)
-        value = 2 * r if isinstance(r, Fraction) else Enclosure(2 * r.lo, 2 * r.hi)
+    value: Scalar = ONE if "strip" in kinds else _root_term(2, v, 2, 1, bits)
     return ProfileEntry(v, frozenset(kinds), value, False, 4 * v == 1)
 
 
@@ -605,13 +586,7 @@ def strip_profile2d(a, volume, bits: int = DEFAULT_BITS) -> tuple:
             kinds.add("strip")
         if v == a * a and rect <= ONE:
             kinds.add("rect")  # the rectangle IS the square here
-        if square_le_strip:
-            r = nth_root(v, 2, bits)
-            value = (
-                2 * r if isinstance(r, Fraction) else Enclosure(2 * r.lo, 2 * r.hi)
-            )
-        else:
-            value = ONE
+        value = _root_term(2, v, 2, 1, bits) if square_le_strip else ONE
         return value, frozenset(kinds)
     kinds = set()
     if rect <= ONE:
@@ -715,61 +690,25 @@ def classify_special(x: CubicalSet) -> ClassificationResult:
     fam = special_family(x)
     stat = check_stationarity(x, assume_symmetrized=True)
     entry = profile(v)
-    if fam.tag in ("box", "tube", "slab"):
-        if not stat.stationary:
-            y = _improvement_competitor(x)
-            return ClassificationResult(
-                "not_minimizer",
-                v,
-                entry.kinds,
-                fam,
-                stat,
-                _make_certificate(x, y),
-                notes=("unequal first variations",),
-            )
-        kind = {"box": "cube", "tube": "tube", "slab": "slab"}[fam.tag]
-        if kind in entry.kinds:
-            notes = ()
-            ties = entry.kinds - {kind}
-            if ties:
-                notes = (f"ties with {', '.join(sorted(ties))} at this volume",)
-            return ClassificationResult(kind, v, entry.kinds, fam, stat, None, notes=notes)
-        y = _profile_shape_competitor(x)
-        return ClassificationResult(
-            "not_minimizer",
-            v,
-            entry.kinds,
-            fam,
-            stat,
-            _make_certificate(x, y),
-            notes=(f"profile favors {', '.join(sorted(entry.kinds))}",),
-        )
+    kind = {"box": "cube", "tube": "tube", "slab": "slab"}.get(fam.tag)
     if fam.tag == "tripod" and len(set(fam.params)) == 1:
-        cert = competitor("tripod", fam.params)
-        cert = CompetitorCertificate(
-            x, cert.competitor.apply(fam.witness), cert.d_volume, cert.d_perimeter
-        )
-        return ClassificationResult(
-            "not_minimizer", v, entry.kinds, fam, stat, cert,
-            notes=("rotated-leg competitor",),
-        )
-    if not stat.stationary:
+        y = competitor("tripod", fam.params).competitor.apply(fam.witness)
+        notes = ("rotated-leg competitor",)
+    elif not stat.stationary:
         y = _improvement_competitor(x)
-        return ClassificationResult(
-            "not_minimizer",
-            v,
-            entry.kinds,
-            fam,
-            stat,
-            _make_certificate(x, y),
-            notes=("unequal first variations",),
-        )
-    cert = competitor(fam.tag, fam.params)
-    cert = CompetitorCertificate(
-        x, cert.competitor.apply(fam.witness), cert.d_volume, cert.d_perimeter
-    )
+        notes = ("unequal first variations",)
+    elif kind is None:
+        y = competitor(fam.tag, fam.params).competitor.apply(fam.witness)
+        notes = ()
+    elif kind in entry.kinds:
+        ties = entry.kinds - {kind}
+        notes = (f"ties with {', '.join(sorted(ties))} at this volume",) if ties else ()
+        return ClassificationResult(kind, v, entry.kinds, fam, stat, None, notes=notes)
+    else:
+        y = _profile_shape_competitor(x)
+        notes = (f"profile favors {', '.join(sorted(entry.kinds))}",)
     return ClassificationResult(
-        "not_minimizer", v, entry.kinds, fam, stat, cert
+        "not_minimizer", v, entry.kinds, fam, stat, _make_certificate(x, y), notes=notes
     )
 
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -43,14 +44,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _scalar_fields(value) -> dict:
-    if isinstance(value, Enclosure):
-        return {
-            "lo": rat_to_str(value.lo),
-            "hi": rat_to_str(value.hi),
-            "decimal": format_decimal(value.midpoint()),
-        }
-    return {"exact": rat_to_str(value), "decimal": format_decimal(value)}
+class _UsageError(CubeIsoError):
+    """A command-line value outside the range its command accepts."""
 
 
 def _write_out(text: str, out: str | None):
@@ -70,6 +65,8 @@ def _cmd_profile(args) -> int:
         hi = parse_rat(args.range[1], "--range")
         if step is None or step <= 0:
             raise CubeIsoError("a positive --step is required with --range")
+        if lo > hi:
+            raise _UsageError(f"--range needs LO <= HI, got {lo} > {hi}")
         vols = []
         v = lo
         while v <= hi:
@@ -241,6 +238,9 @@ def _search_rows(dim, res, cells_list, bits, jobs=1):
 
 
 def _cmd_search(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise _UsageError(f"--jobs must lie in 1..{cpus}, got {args.jobs}")
     if args.all_k:
         cells = list(range(0, args.res**args.dim // 2 + 1))
     elif args.cells is not None:
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--res", type=int, required=True)
     sp.add_argument("--cells", type=int)
     sp.add_argument("--all-k", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers, 1..CPU count")
     common(sp, inp=False)
     precision(sp)
     sp.set_defaults(fn=_cmd_search)
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except RationalParseError as exc:
+    except (RationalParseError, _UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (CubeIsoError, FileNotFoundError, json.JSONDecodeError) as exc:

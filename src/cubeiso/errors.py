@@ -39,6 +39,10 @@ class RationalParseError(CubeIsoError):
         super().__init__(f"invalid rational {text!r}{suffix}")
 
 
+class FormatError(CubeIsoError):
+    """A set or voxel file lacks a field or holds one of the wrong type."""
+
+
 class NotSymmetrizedError(CubeIsoError):
     """The operation requires a fixed point of all Steiner symmetrizations."""
 

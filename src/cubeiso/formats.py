@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from .errors import RationalParseError
+from .errors import DomainError, FormatError, RationalParseError
 from .geometry import AxisBox, CubicalSet, VoxelSet, boundary_faces
 
 __all__ = [
@@ -57,18 +57,41 @@ def set_to_json(x: CubicalSet) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
-def set_from_json(text: str) -> CubicalSet:
+def _json_object(text: str, what: str) -> dict:
     obj = json.loads(text)
-    dim = obj["dim"]
+    if not isinstance(obj, dict):
+        raise FormatError(f"a {what} file holds a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+_KINDS = {int: "a positive integer", list: "a list"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str = ""):
+    """``obj[key]``, which must be present and of the given kind."""
+    where = where or key
+    if key not in obj:
+        raise FormatError(f"missing field {where!r}")
+    value = obj[key]
+    if type(value) is not kind or (kind is int and value < 1):
+        raise FormatError(f"field {where!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _coords(entry: dict, key: str, where: str) -> tuple:
+    values = _field(entry, key, list, f"{where}.{key}")
+    return tuple(parse_rat(c, f"{where}.{key}[{i}]") for i, c in enumerate(values))
+
+
+def set_from_json(text: str) -> CubicalSet:
+    obj = _json_object(text, "set")
+    dim = _field(obj, "dim", int)
     boxes = []
-    for k, entry in enumerate(obj.get("boxes", [])):
-        lo = tuple(
-            parse_rat(c, f"boxes[{k}].lo[{i}]") for i, c in enumerate(entry["lo"])
-        )
-        hi = tuple(
-            parse_rat(c, f"boxes[{k}].hi[{i}]") for i, c in enumerate(entry["hi"])
-        )
-        boxes.append(AxisBox(lo, hi))
+    for k, entry in enumerate(_field(obj, "boxes", list) if "boxes" in obj else []):
+        where = f"boxes[{k}]"
+        if type(entry) is not dict:
+            raise FormatError(f"field {where!r} must be an object, got {entry!r}")
+        boxes.append(AxisBox(_coords(entry, "lo", where), _coords(entry, "hi", where)))
     return CubicalSet.from_boxes(dim, boxes)
 
 
@@ -78,16 +101,19 @@ def voxel_to_json(v: VoxelSet) -> str:
 
 
 def voxel_from_json(text: str) -> VoxelSet:
-    obj = json.loads(text)
-    return VoxelSet.from_indices(obj["dim"], obj["res"], obj["cells"])
+    obj = _json_object(text, "voxel")
+    dim, res, cells = _field(obj, "dim", int), _field(obj, "res", int), _field(obj, "cells", list)
+    bad = [i for i in cells if type(i) is not int]
+    if bad:
+        raise FormatError(f"field 'cells' must hold integers, got {bad[0]!r}")
+    return VoxelSet.from_indices(dim, res, cells)
 
 
 def load_set(path: str) -> CubicalSet:
     """Read either a set file or a voxel file, returning a CubicalSet."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    obj = json.loads(text)
-    if "res" in obj:
+    if "res" in _json_object(text, "set or voxel"):
         return voxel_from_json(text).to_cubical()
     return set_from_json(text)
 
@@ -106,7 +132,7 @@ def export_obj(x: CubicalSet) -> str:
     lexicographically smaller diagonal.  Only dimension 3 is supported.
     """
     if x.dim != 3:
-        raise ValueError("OBJ export requires a 3-dimensional set")
+        raise DomainError("OBJ export requires a 3-dimensional set")
     vertices: dict[tuple, int] = {}
     lines = ["# cubeiso mesh: interior boundary faces + cube wireframe"]
 

@@ -13,6 +13,16 @@ point sets (up to measure zero, which the closed canonicalisation erases)
 exactly when their canonical box tuples are equal.  Relative perimeter is a
 weighted count of the faces between adjacent cells of different occupancy.
 
+Every interior cut of a canonical set is a singular point: the occupancy
+changes across it somewhere.  On axis 0 a box boundary survives the merge
+only where a run of occupied cells in a line ends.  The merge along a later
+axis ``k`` joins boxes already merged along axes ``0..k-1``, which depend
+only on the occupancy of their line (``k = 1``) or slab (``k = 2``) of
+cells, so a boundary survives on axis ``k`` only where two neighbouring
+lines or slabs differ.  The grid therefore lists the singular points, and a
+set with at most one singular point per axis lives on at most two cells per
+axis.
+
 The same occupancy kernels (face counts, the Steiner column push, signed
 axis permutations, the monotonicity test) serve :class:`VoxelSet` and
 batches of voxel sets: each acts on the trailing ``dim`` axes of a boolean

@@ -30,6 +30,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import ONE, ZERO, AxisBox, CubicalSet, as_rat
+from .geometry import _is_monotone_cells, _occupancy
 from .symmetrize import _build_profile, _Profile, is_symmetrized, symmetrize_all
 
 __all__ = [
@@ -112,13 +113,10 @@ class VariationEvent:
 def singular_points(x: CubicalSet, axis: int) -> list[Fraction]:
     """Interior positions whose boundary slice has positive (n-1)-measure.
 
-    Valid for arbitrary cubical sets; finite by construction.
+    These are exactly the interior box coordinates of the canonical form
+    (see :mod:`cubeiso.geometry`).  Valid for arbitrary cubical sets.
     """
-    out = []
-    for s in x.internal_coords(axis):
-        if x.boundary_slice(axis, s).volume() > 0:
-            out.append(s)
-    return out
+    return x.internal_coords(axis)
 
 
 def _slice_from_profile(prof: _Profile, s: Fraction) -> SliceData:
@@ -421,20 +419,17 @@ def check_stationarity(
 
 def is_special(x: CubicalSet) -> bool:
     """Symmetrized, volume in (0, 1/2], full near the origin corner, and at
-    most one interior singular point per direction."""
+    most one interior singular point per direction.
+
+    One test on the occupancy grid: the interior cuts of an axis are its
+    singular points, so the grid has at most two cells per axis, and
+    occupancy never increases along any axis, which puts the origin cell of
+    a nonempty set inside it.
+    """
     if not (ZERO < x.volume() <= HALF):
         return False
-    if not is_symmetrized(x):
-        return False
-    corner = []
-    for axis in range(x.dim):
-        corner.append(min(c for c in x.coords(axis) if c > 0) / 2)
-    if not x.contains(tuple(corner)):
-        return False
-    return all(
-        len(_build_profile(x, axis).interior_levels()) <= 1
-        for axis in range(x.dim)
-    )
+    grids, occ = _occupancy(x)
+    return all(len(g) <= 3 for g in grids) and _is_monotone_cells(occ, x.dim)
 
 
 @dataclass(frozen=True)

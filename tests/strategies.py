@@ -1,0 +1,57 @@
+"""Hypothesis strategies shared by the property tests."""
+
+import itertools
+from fractions import Fraction as F
+
+import numpy as np
+from hypothesis import strategies as st
+
+from cubeiso.geometry import CubicalSet, VoxelSet, box, devoxelize
+
+PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 4099, 8191]
+
+
+@st.composite
+def grid_or_rational_sets(draw, dim=None):
+    """A random voxel set (m = 2..5) or a union of 1-6 boxes whose
+    coordinates have prime denominators, in dimension ``dim`` (1-3 when
+    not given)."""
+    if dim is None:
+        dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 5))
+        cells = draw(st.lists(st.booleans(), min_size=m**dim, max_size=m**dim))
+        return devoxelize(VoxelSet(m, np.array(cells).reshape((m,) * dim)))
+    dens = [draw(st.sampled_from(PRIMES)) for _ in range(dim)]
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = [], []
+        for p in dens:
+            a = draw(st.integers(0, p - 1))
+            b = draw(st.integers(a + 1, p))
+            lo.append(F(a, p))
+            hi.append(F(b, p))
+        boxes.append(box(lo, hi))
+    return CubicalSet.from_boxes(dim, boxes)
+
+
+@st.composite
+def two_cell_sets(draw, dim=None, monotone=False):
+    """Random occupancy of a grid with one random cut per axis, in
+    dimension ``dim`` (1-3 when not given): the grids special sets live on.
+    With ``monotone``, every cell below an occupied one is occupied too."""
+    if dim is None:
+        dim = draw(st.integers(1, 3))
+    grids = []
+    for _ in range(dim):
+        p = draw(st.sampled_from(PRIMES))
+        grids.append([F(0), F(draw(st.integers(1, p - 1)), p), F(1)])
+    cells = list(itertools.product((0, 1), repeat=dim))
+    drawn = [cell for cell in cells if draw(st.booleans())]
+    if monotone:
+        drawn = [c for c in cells if any(all(a <= b for a, b in zip(c, d)) for d in drawn)]
+    boxes = [
+        box([g[i] for g, i in zip(grids, cell)], [g[i + 1] for g, i in zip(grids, cell)])
+        for cell in drawn
+    ]
+    return CubicalSet.from_boxes(dim, boxes)

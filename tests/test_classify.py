@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from strategies import two_cell_sets
 
 from cubeiso.classify import (
     V1,
@@ -24,6 +26,7 @@ from cubeiso.classify import (
 from cubeiso.enclosure import Enclosure
 from cubeiso.errors import DomainError, NoCompetitorError, NotSpecialError
 from cubeiso.geometry import CubeIsometry, CubicalSet, equal_up_to_isometry
+from cubeiso.variation import is_special
 
 HALF = F(1, 2)
 
@@ -61,6 +64,9 @@ class TestSpecialFamily:
         ("l_prism", (F(1, 4), F(1, 3), F(1))),  # full-height prism
         ("slab_leg", (F(1, 4), F(1, 3), F(1, 2))),
         ("tripod", (F(1, 5), F(1, 4), F(1, 3))),
+        ("box", (F(1, 3), F(1, 3), F(1, 3))),  # ties a = b = c
+        ("tube", (F(1, 3), F(1, 3))),  # tie a = b
+        ("l_prism", (F(1, 3), F(1, 5), F(1))),  # full height, a > b
     ]
 
     @pytest.mark.parametrize("tag,params", CASES)
@@ -78,6 +84,24 @@ class TestSpecialFamily:
             fam = special_family(x.apply(g))
             assert fam.tag == tag
             assert realize(fam.tag, fam.params).apply(fam.witness) == x.apply(g)
+
+    # the order special_family puts each family's parameters in
+    ORDER = {
+        "box": (0, 1, 2),
+        "tube": (0, 1),
+        "tri_slab": (0, 1, 2),
+        "l_prism": (0, 1),
+        "slab_leg": (1, 2),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(two_cell_sets(3, monotone=True))
+    def test_every_special_set_has_a_family(self, x):
+        assume(is_special(x))
+        fam = special_family(x)
+        assert realize(fam.tag, fam.params).apply(fam.witness) == x
+        order = [fam.params[i] for i in self.ORDER.get(fam.tag, ())]
+        assert order == sorted(order)
 
     def test_tripod_orbit_equivalence(self):
         a = F(3, 10)

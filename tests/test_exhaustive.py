@@ -2,8 +2,9 @@
 
 The audited claim (perimeter preserved by one symmetrization iff an isometry
 carries the set onto its symmetrization) fails on disconnected sets whose
-columns anchor at opposite walls; the audit must find such counterexamples
-and every reported counterexample must be genuine.
+columns anchor at opposite walls, and on face-connected ones as well; the
+audit must find such counterexamples and every reported counterexample must
+be genuine.
 """
 
 import pytest
@@ -42,6 +43,12 @@ def test_2d_m3_finds_opposite_anchor_counterexample():
     # bottom-right wall; perimeters match, no isometry matches
     witness = VoxelSet.from_indices(2, 3, [2, 6])
     assert _is_genuine_violation(witness)
+    # a face-connected witness: rows 011/010/110 symmetrize along axis 0 to
+    # the T-shape 111/010/010, keeping 6 boundary faces
+    connected = VoxelSet.from_indices(2, 3, [1, 2, 4, 6, 7])
+    assert connected.steiner(0) == VoxelSet.from_indices(2, 3, [0, 1, 2, 4, 7])
+    assert connected.face_count() == connected.steiner(0).face_count() == 6
+    assert _is_genuine_violation(connected)
 
 
 def test_3d_m2_also_violates():

@@ -1,6 +1,8 @@
 """Serialization round trips, OBJ export, and the CLI surface."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from cubeiso.classify import realize
-from cubeiso.errors import RationalParseError
+from cubeiso.errors import DomainError, FormatError, RationalParseError
 from cubeiso.formats import (
     export_obj,
     parse_rat,
@@ -51,6 +53,22 @@ class TestJson:
         with pytest.raises(RationalParseError):
             parse_rat("x/y")
 
+    def test_malformed_structure_names_the_field(self):
+        for text, field in (
+            ('{"dim": 2, "boxes": [[0, 1]]}', "'boxes[0]'"),
+            ('{"dim": 2, "boxes": [{"lo": "0", "hi": ["1", "1"]}]}', "'boxes[0].lo'"),
+            ('{"dim": 0, "boxes": []}', "'dim'"),
+        ):
+            with pytest.raises(FormatError, match=re.escape(field)):
+                set_from_json(text)
+        for text, field in (
+            ('{"dim": 2, "cells": []}', "'res'"),
+            ('{"dim": 2, "res": 2, "cells": [0, "1"]}', "'cells'"),
+            ('{"dim": 2, "res": 2, "cells": [true]}', "'cells'"),
+        ):
+            with pytest.raises(FormatError, match=re.escape(field)):
+                voxel_from_json(text)
+
 
 class TestObj:
     def test_half_cube_mesh(self):
@@ -67,7 +85,7 @@ class TestObj:
         assert export_obj(x) == export_obj(x)
 
     def test_rejects_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             export_obj(cs(2, [((0, 0), (HALF, HALF))]))
 
 
@@ -173,6 +191,37 @@ class TestCli:
         assert out.returncode == 1
         assert "invalid choice: 11" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"boxes": []}', "'dim'"),
+            ("[1, 2]", "JSON object"),
+            ('{"dim": "x", "boxes": []}', "'dim'"),
+            ('{"dim": 3, "boxes": [{"lo": ["0", "0", "0"]}]}', "'boxes[0].hi'"),
+        ],
+    )
+    def test_malformed_set_file(self, tmp_path, text, field):
+        inp = tmp_path / "bad.json"
+        inp.write_text(text)
+        out = run_cli("classify", str(inp))
+        assert out.returncode == 2
+        assert field in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_profile_rejects_reversed_range(self):
+        out = run_cli("profile", "--range", "1/2", "1/4", "--step", "1/8")
+        assert out.returncode == 1
+        assert "LO <= HI" in out.stderr
+        assert out.stdout == ""
+
+    def test_search_jobs_bounded_by_cpu_count(self):
+        # only values that are rejected before any worker starts
+        for jobs in (0, (os.cpu_count() or 1) + 1):
+            out = run_cli("search", "--dim", "2", "--res", "2", "--all-k", "--jobs", str(jobs))
+            assert out.returncode == 1, jobs
+            assert "--jobs must lie in" in out.stderr
+            assert out.stdout == ""
 
     def test_export_mesh_requires_3d(self, tmp_path):
         inp = tmp_path / "flat.json"

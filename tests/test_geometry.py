@@ -4,6 +4,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import grid_or_rational_sets
 
 from cubeiso.errors import AlignmentError, DimensionMismatchError, DomainError, UnitCubeError
 from cubeiso.geometry import (
@@ -209,6 +212,51 @@ class TestIsometry:
         thin_tube = cs(3, [((0, 0, 0), (F(1, 8), F(1, 8), 1))])
         assert cube.volume() == thin_tube.volume()
         assert equal_up_to_isometry(cube, thin_tube) is None
+
+
+@st.composite
+def two_sets_and_isometry(draw):
+    dim = draw(st.integers(1, 3))
+    x = draw(grid_or_rational_sets(dim))
+    y = draw(grid_or_rational_sets(dim))
+    return x, y, draw(st.sampled_from(list(all_isometries(dim))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_sets_and_isometry())
+def test_boolean_algebra_laws(sets):
+    x, y, _ = sets
+    union, inter = x.union(y), x.intersection(y)
+    assert union == y.union(x)
+    assert inter == y.intersection(x)
+    assert x.sym_difference(y) == y.sym_difference(x) == union.difference(inter)
+    assert x.difference(y) == x.intersection(y.complement())
+    assert union.complement() == x.complement().intersection(y.complement())
+    assert x.union(inter) == x == x.intersection(union)
+    assert x.intersection(x.complement()).is_empty
+    assert union.volume() + inter.volume() == x.volume() + y.volume()
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_sets_and_isometry())
+def test_isometry_invariance(sets):
+    x, y, g = sets
+    gx, gy = x.apply(g), y.apply(g)
+    assert gx.volume() == x.volume()
+    assert gx.relative_perimeter() == x.relative_perimeter()
+    assert x.union(y).apply(g) == gx.union(gy)
+    assert x.intersection(y).apply(g) == gx.intersection(gy)
+    assert x.complement().apply(g) == gx.complement()
+    assert gx.apply(g.inverse()) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_or_rational_sets())
+def test_complement_keeps_perimeter(x):
+    comp = x.complement()
+    assert comp.relative_perimeter() == x.relative_perimeter()
+    assert comp.volume() == 1 - x.volume()
+    assert comp.complement() == x
 
 
 class TestVoxel:

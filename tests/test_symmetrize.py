@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from strategies import grid_or_rational_sets
 
-from cubeiso.geometry import CubicalSet, VoxelSet, boundary_faces, box, devoxelize, voxelize
+from cubeiso.geometry import CubicalSet, boundary_faces, devoxelize, voxelize
 from cubeiso.sampling import random_voxel
 from cubeiso.symmetrize import _build_profile, is_symmetrized, steiner, symmetrize_all
 
@@ -102,29 +102,6 @@ def test_symmetrize_all_output_is_always_symmetrized():
         assert is_symmetrized(y)
         assert y.volume() == v.volume()
         assert y.relative_perimeter() <= v.relative_perimeter()
-
-
-PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 4099, 8191]
-
-
-@st.composite
-def grid_or_rational_sets(draw):
-    dim = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        m = draw(st.integers(2, 5))
-        cells = draw(st.lists(st.booleans(), min_size=m**dim, max_size=m**dim))
-        return devoxelize(VoxelSet(m, np.array(cells).reshape((m,) * dim)))
-    dens = [draw(st.sampled_from(PRIMES)) for _ in range(dim)]
-    boxes = []
-    for _ in range(draw(st.integers(1, 6))):
-        lo, hi = [], []
-        for p in dens:
-            a = draw(st.integers(0, p - 1))
-            b = draw(st.integers(a + 1, p))
-            lo.append(F(a, p))
-            hi.append(F(b, p))
-        boxes.append(box(lo, hi))
-    return CubicalSet.from_boxes(dim, boxes)
 
 
 @settings(max_examples=60, deadline=None)

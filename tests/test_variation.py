@@ -4,6 +4,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import grid_or_rational_sets, two_cell_sets
 
 from cubeiso.errors import (
     DomainError,
@@ -15,7 +18,7 @@ from cubeiso.errors import (
 from cubeiso.classify import classify
 from cubeiso.geometry import CubicalSet, VoxelSet
 from cubeiso.sampling import random_monotone_set
-from cubeiso.symmetrize import is_symmetrized
+from cubeiso.symmetrize import _build_profile, is_symmetrized, steiner, symmetrize_all
 from cubeiso.variation import (
     check_stationarity,
     event_horizon,
@@ -59,6 +62,35 @@ class TestSingularPoints:
     def test_unit_cube_has_none(self):
         for i in range(3):
             assert singular_points(CubicalSet.unit(3), i) == []
+
+
+def singular_reference(x, axis):
+    """The written-out definition: interior cuts whose boundary slice has
+    positive measure."""
+    return [
+        s for s in x.internal_coords(axis) if x.boundary_slice(axis, s).volume() > 0
+    ]
+
+
+def special_reference(x):
+    """The written-out definition: symmetrized, volume in (0, 1/2], the
+    point halfway to the first cut of every axis inside, and at most one
+    interior level of the height profile along every axis."""
+    if not (0 < x.volume() <= HALF and is_symmetrized(x)):
+        return False
+    corner = tuple(min(c for c in x.coords(i) if c > 0) / 2 for i in range(x.dim))
+    return x.contains(corner) and all(
+        len(_build_profile(x, i).interior_levels()) <= 1 for i in range(x.dim)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(grid_or_rational_sets(), two_cell_sets()))
+def test_grid_reads_singular_points_and_specialness(x):
+    for y in (x, steiner(x, 0), symmetrize_all(x)):
+        assert is_special(y) == special_reference(y)
+        for axis in range(y.dim):
+            assert singular_points(y, axis) == singular_reference(y, axis)
 
 
 class TestSliceData:

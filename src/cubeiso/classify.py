@@ -38,7 +38,6 @@ from .geometry import (
     ZERO,
     CubeIsometry,
     CubicalSet,
-    _occupancy,
     as_rat,
 )
 from .variation import (
@@ -143,21 +142,15 @@ class FaceForm:
 
 
 def _classify_face(face: CubicalSet) -> FaceForm:
+    """Read off the face's grid: the rectangle is its origin cell alone,
+    the L-shape all cells of a 2 x 2 grid but the far one."""
+    (g0, g1), occ = face.grids, face.occ
     if face.is_empty:
         return FaceForm("empty")
-    bx = face.boxes
-    if len(bx) == 1 and bx[0].lo == (ZERO, ZERO):
-        return FaceForm("rect", bx[0].hi[0], bx[0].hi[1])
-    if len(bx) == 2:
-        lower, upper = bx
-        if (
-            lower.lo == (ZERO, ZERO)
-            and lower.hi[0] == ONE
-            and upper.lo == (ZERO, lower.hi[1])
-            and upper.hi == (upper.hi[0], ONE)
-            and upper.hi[0] < ONE
-        ):
-            return FaceForm("l_shape", upper.hi[0], lower.hi[1])
+    if np.count_nonzero(occ) == 1 and occ[0, 0]:
+        return FaceForm("rect", g0[1], g1[1])
+    if occ.tolist() == [[True, True], [True, False]]:
+        return FaceForm("l_shape", g0[1], g1[1])
     return FaceForm("other")
 
 
@@ -206,7 +199,7 @@ def _cells(occ: np.ndarray) -> tuple:
 # realization at parameters 1/2 (and the full-height L-prism), with its
 # parameter count.
 _FAMILY_CELLS = {
-    _cells(_occupancy(realize(tag, sample))[1]): (tag, len(sample))
+    _cells(realize(tag, sample).occ): (tag, len(sample))
     for tag, sample in (
         ("box", (HALF, HALF, HALF)),
         ("tube", (HALF, HALF)),
@@ -235,7 +228,7 @@ def special_family(x: CubicalSet) -> SpecialFamily:
         raise DomainError("family classification is 3-dimensional")
     if not is_special(x):
         raise NotSpecialError("special_family requires a special set")
-    grids, occ = _occupancy(x)
+    grids, occ = x.grids, x.occ
     found = []
     for perm in itertools.permutations(range(3)):
         hit = _FAMILY_CELLS.get(_cells(np.transpose(occ, perm)))
@@ -465,11 +458,8 @@ def competitor(family: str, params) -> CompetitorCertificate:
         a, b, c = p
         y2 = _best_2d_replacement(a, b)
         if y2 is not None:
-            boxes = [
-                ((bb.lo[0], bb.lo[1], ZERO), (bb.hi[0], bb.hi[1], c))
-                for bb in y2.boxes
-            ]
-            y = CubicalSet.from_coords(3, boxes)
+            # the planar set extruded to height c
+            y = CubicalSet([*y2.grids, (ZERO, c, ONE)], y2.occ[..., None] & [True, False])
             if y.relative_perimeter() < x.relative_perimeter():
                 return _make_certificate(x, y)
         return _make_certificate(x, _profile_shape_competitor(x))

@@ -64,7 +64,7 @@ def _cmd_profile(args) -> int:
         lo = parse_rat(args.range[0], "--range")
         hi = parse_rat(args.range[1], "--range")
         if step is None or step <= 0:
-            raise CubeIsoError("a positive --step is required with --range")
+            raise _UsageError("a positive --step is required with --range")
         if lo > hi:
             raise _UsageError(f"--range needs LO <= HI, got {lo} > {hi}")
         vols = []
@@ -246,7 +246,7 @@ def _cmd_search(args) -> int:
     elif args.cells is not None:
         cells = [args.cells]
     else:
-        raise CubeIsoError("provide --cells K or --all-k")
+        raise _UsageError("provide --cells K or --all-k")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -19,6 +19,9 @@ from fractions import Fraction
 from .errors import DomainError, FormatError, RationalParseError
 from .geometry import AxisBox, CubicalSet, VoxelSet, boundary_faces
 
+MAX_DIM = 32  # arrays hold at most 32 axes before NumPy 2.0 (64 from 2.0)
+MAX_VOXEL_CELLS = 1 << 24  # res**dim of the largest voxel file read
+
 __all__ = [
     "rat_to_str",
     "parse_rat",
@@ -67,14 +70,16 @@ def _json_object(text: str, what: str) -> dict:
 _KINDS = {int: "a positive integer", list: "a list"}
 
 
-def _field(obj: dict, key: str, kind: type, where: str = ""):
-    """``obj[key]``, which must be present and of the given kind."""
+def _field(obj: dict, key: str, kind: type, where: str = "", most=None):
+    """``obj[key]``, which must be present, of the given kind and, for an
+    integer, at most ``most`` when given."""
     where = where or key
     if key not in obj:
         raise FormatError(f"missing field {where!r}")
     value = obj[key]
-    if type(value) is not kind or (kind is int and value < 1):
-        raise FormatError(f"field {where!r} must be {_KINDS[kind]}, got {value!r}")
+    if type(value) is not kind or (kind is int and not 1 <= value <= (most or value)):
+        bound = f" up to {most}" if most else ""
+        raise FormatError(f"field {where!r} must be {_KINDS[kind]}{bound}, got {value!r}")
     return value
 
 
@@ -85,7 +90,7 @@ def _coords(entry: dict, key: str, where: str) -> tuple:
 
 def set_from_json(text: str) -> CubicalSet:
     obj = _json_object(text, "set")
-    dim = _field(obj, "dim", int)
+    dim = _field(obj, "dim", int, most=MAX_DIM)
     boxes = []
     for k, entry in enumerate(_field(obj, "boxes", list) if "boxes" in obj else []):
         where = f"boxes[{k}]"
@@ -102,7 +107,10 @@ def voxel_to_json(v: VoxelSet) -> str:
 
 def voxel_from_json(text: str) -> VoxelSet:
     obj = _json_object(text, "voxel")
-    dim, res, cells = _field(obj, "dim", int), _field(obj, "res", int), _field(obj, "cells", list)
+    dim, res = _field(obj, "dim", int, most=MAX_DIM), _field(obj, "res", int)
+    if res**dim > MAX_VOXEL_CELLS:
+        raise FormatError(f"field 'res' gives {res}**{dim} cells, above {MAX_VOXEL_CELLS}")
+    cells = _field(obj, "cells", list)
     bad = [i for i in cells if type(i) is not int]
     if bad:
         raise FormatError(f"field 'cells' must hold integers, got {bad[0]!r}")
@@ -115,7 +123,12 @@ def load_set(path: str) -> CubicalSet:
         text = fh.read()
     if "res" in _json_object(text, "set or voxel"):
         return voxel_from_json(text).to_cubical()
-    return set_from_json(text)
+    try:
+        return set_from_json(text)
+    except RationalParseError as exc:
+        raise FormatError(
+            f"field {exc.where!r} must hold a rational p/q, got {exc.text!r}"
+        ) from None
 
 
 # -- OBJ mesh export --------------------------------------------------------

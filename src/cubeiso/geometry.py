@@ -1,26 +1,23 @@
-"""Exact geometry of axis-aligned box unions in the unit cube.
+"""Exact geometry of orthogonal polyhedra in the unit cube.
 
 A :class:`CubicalSet` is a closed subset of ``[0,1]^n`` whose boundary lies
-in finitely many axis-orthogonal hyperplanes, stored as a canonical list of
-pairwise interior-disjoint closed boxes with rational corners.  All
-arithmetic uses :class:`fractions.Fraction`; nothing in this module rounds.
+in finitely many axis-orthogonal hyperplanes.  The set *is* its canonical
+occupancy grid: per axis, sorted cuts with 0 and 1 cut the cube into cells,
+and a boolean array marks the occupied ones.  Canonical means that
+occupancy changes across every interior cut somewhere; building a set from
+boxes or from another grid drops zero-width cell rows and then every cut
+without such a change.  Two sets are equal as point sets (up to measure
+zero, which the closed sets erase) exactly when their cuts and occupancies
+are equal.  Its canonical boxes, pairwise interior-disjoint closed boxes
+from greedily merging the occupied cells along axis 0, then 1, and so on,
+are a view of the grid for output.  All arithmetic uses
+:class:`fractions.Fraction`; nothing in this module rounds.
 
-Every grid computation works on one occupancy grid: per axis, the sorted
-distinct box coordinates together with 0 and 1 cut the cube into cells, and
-a boolean array marks the occupied ones.  Canonical form greedily re-merges
-the occupied cells along axis 0, then 1, and so on.  Two sets are equal as
-point sets (up to measure zero, which the closed canonicalisation erases)
-exactly when their canonical box tuples are equal.  Relative perimeter is a
+Volume is a weighted count of occupied cells and relative perimeter a
 weighted count of the faces between adjacent cells of different occupancy.
-
-Every interior cut of a canonical set is a singular point: the occupancy
-changes across it somewhere.  On axis 0 a box boundary survives the merge
-only where a run of occupied cells in a line ends.  The merge along a later
-axis ``k`` joins boxes already merged along axes ``0..k-1``, which depend
-only on the occupancy of their line (``k = 1``) or slab (``k = 2``) of
-cells, so a boundary survives on axis ``k`` only where two neighbouring
-lines or slabs differ.  The grid therefore lists the singular points, and a
-set with at most one singular point per axis lives on at most two cells per
+The interior cuts are the singular points: across each, the cross-sections
+from below and above differ in a cell of positive measure.  A set with at
+most one singular point per axis therefore lives on at most two cells per
 axis.
 
 The same occupancy kernels (face counts, the Steiner column push, signed
@@ -32,6 +29,7 @@ array.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -86,24 +84,6 @@ class AxisBox:
     def dim(self) -> int:
         return len(self.lo)
 
-    def volume(self) -> Fraction:
-        v = ONE
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return all(a <= x <= b for a, x, b in zip(self.lo, point, self.hi))
-
-    def project(self, axis: int) -> "AxisBox":
-        """Drop one axis, producing a (dim-1)-dimensional box."""
-        lo = self.lo[:axis] + self.lo[axis + 1:]
-        hi = self.hi[:axis] + self.hi[axis + 1:]
-        return AxisBox(lo, hi)
-
-    def interval(self, axis: int) -> tuple[Fraction, Fraction]:
-        return self.lo[axis], self.hi[axis]
-
 
 def box(lo: Sequence[RatLike], hi: Sequence[RatLike]) -> AxisBox:
     """Convenience constructor accepting ints / 'p/q' strings."""
@@ -133,57 +113,62 @@ def _merge_along(index_boxes: list, axis: int) -> list:
 
 
 class CubicalSet:
-    """Canonical closed union of axis-aligned boxes in [0,1]^n."""
+    """A closed orthogonal polyhedron in [0,1]^n: its canonical occupancy
+    grid, ``grids`` (per axis, the sorted cuts with 0 and 1) and ``occ``
+    (the read-only occupancy of their cells).
 
-    __slots__ = ("dim", "boxes", "_volume", "_relper")
+    The constructor makes any grid with sorted cuts canonical; outside this
+    package, sets are built with :meth:`from_boxes` or :meth:`from_coords`.
+    Derived values (boxes, measures, height profiles) are cached.
+    """
 
-    def __init__(self, dim: int, boxes: Iterable[AxisBox], *, _canonical=False):
-        boxes = tuple(boxes)
-        if not _canonical:
-            boxes = _canonicalize(dim, boxes)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "_volume", None)
-        object.__setattr__(self, "_relper", None)
+    __slots__ = ("dim", "grids", "occ", "_cache")
+
+    def __init__(self, grids: Sequence[Sequence[Fraction]], occ: np.ndarray):
+        grids, occ = _reduce(grids, occ)
+        for name, value in zip(self.__slots__, (len(grids), grids, occ, {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("CubicalSet is immutable")
+
+    def _cached(self, key, compute):
+        """``compute()``, evaluated once per set and key."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def from_boxes(dim: int, boxes: Iterable[AxisBox]) -> "CubicalSet":
-        """Normalize a (possibly overlapping) collection of boxes."""
-        return CubicalSet(dim, boxes)
+        """The union of a (possibly overlapping) collection of boxes."""
+        return CubicalSet(*_canonicalize(dim, tuple(boxes)))
 
     @staticmethod
     def from_coords(dim: int, pairs: Iterable[tuple]) -> "CubicalSet":
         """Build from ``(lo, hi)`` coordinate pairs (ints / 'p/q' allowed)."""
-        return CubicalSet(dim, [box(lo, hi) for lo, hi in pairs])
+        return CubicalSet.from_boxes(dim, [box(lo, hi) for lo, hi in pairs])
 
     @staticmethod
     def empty(dim: int) -> "CubicalSet":
-        return CubicalSet(dim, (), _canonical=True)
+        return CubicalSet([(ZERO, ONE)] * dim, np.zeros((1,) * dim, dtype=bool))
 
     @staticmethod
     def unit(dim: int) -> "CubicalSet":
-        if dim == 0:
-            return CubicalSet(0, (AxisBox((), ()),), _canonical=True)
-        return CubicalSet(
-            dim, (AxisBox((ZERO,) * dim, (ONE,) * dim),), _canonical=True
-        )
+        return CubicalSet([(ZERO, ONE)] * dim, np.ones((1,) * dim, dtype=bool))
 
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CubicalSet)
-            and self.dim == other.dim
-            and self.boxes == other.boxes
+            and self.grids == other.grids
+            and bool(np.array_equal(self.occ, other.occ))
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.boxes))
+        return self._cached("hash", lambda: hash((self.grids, self.occ.tobytes())))
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -194,45 +179,47 @@ class CubicalSet:
         return f"CubicalSet(dim={self.dim}, {inner}{more})"
 
     @property
+    def boxes(self) -> tuple[AxisBox, ...]:
+        """Canonical boxes of the occupied cells, in sorted order."""
+        return self._cached("boxes", lambda: _grid_boxes(self.grids, self.occ))
+
+    @property
     def is_empty(self) -> bool:
-        return not self.boxes
+        return not self.occ.any()
 
     def contains(self, point: Sequence[RatLike]) -> bool:
         """Closed-set membership of a rational point."""
         p = tuple(as_rat(x) for x in point)
         if len(p) != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
-        return any(b.contains(p) for b in self.boxes)
+        # per axis, the cells whose closure holds the coordinate: none
+        # outside [0,1], two at an interior cut, one elsewhere
+        cells = tuple(
+            slice(max(bisect_left(g, c) - 1, 0), bisect_right(g, c))
+            for g, c in zip(self.grids, p)
+        )
+        return bool(self.occ[cells].any())
 
     # -- measures ----------------------------------------------------------
 
     def volume(self) -> Fraction:
-        if self._volume is None:
-            v = sum((b.volume() for b in self.boxes), ZERO)
-            object.__setattr__(self, "_volume", v)
-        return self._volume
+        """Weighted count of the occupied cells."""
+        return self._cached("volume", lambda: _weigh(self.occ, _widths(self.grids)))
 
     def relative_perimeter(self) -> Fraction:
         """(n-1)-measure of the boundary away from the cube walls.
 
-        A weighted face count on the set's occupancy grid: every pair of
-        adjacent cells with different occupancy adds the exact area of the
-        face the two cells share.
+        A weighted face count on the occupancy grid: every pair of adjacent
+        cells with different occupancy adds the exact area of the face the
+        two cells share.
         """
-        if self._relper is None:
-            grids, occ = _occupancy(self)
-            object.__setattr__(self, "_relper", _face_area(grids, occ))
-        return self._relper
+        return self._cached("relper", lambda: _face_area(self.grids, self.occ))
 
     # -- grids and sections --------------------------------------------
 
-    def coords(self, axis: int) -> list[Fraction]:
-        """Sorted distinct box coordinates on one axis."""
-        s = {b.lo[axis] for b in self.boxes} | {b.hi[axis] for b in self.boxes}
-        return sorted(s)
-
     def internal_coords(self, axis: int) -> list[Fraction]:
-        return [c for c in self.coords(axis) if ZERO < c < ONE]
+        """The interior cuts of one axis: the singular points."""
+        return list(self.grids[axis][1:-1])
 
     def cross_section(self, axis: int, s: RatLike, side: str) -> "CubicalSet":
         """One-sided limit cross-section perpendicular to ``axis`` at ``s``.
@@ -245,17 +232,19 @@ class CubicalSet:
             raise DomainError(f"axis {axis} out of range for dim {self.dim}")
         if not ZERO <= s <= ONE:
             raise DomainError(f"position {s} outside [0,1]")
+        g = self.grids[axis]
         if side == "below":
             if s == ZERO:
                 raise DomainError("no cross-section below 0")
-            picked = [b for b in self.boxes if b.lo[axis] < s <= b.hi[axis]]
+            row = bisect_left(g, s) - 1  # g[row] < s <= g[row + 1]
         elif side == "above":
             if s == ONE:
                 raise DomainError("no cross-section above 1")
-            picked = [b for b in self.boxes if b.lo[axis] <= s < b.hi[axis]]
+            row = bisect_right(g, s) - 1  # g[row] <= s < g[row + 1]
         else:
             raise DomainError(f"side must be 'below' or 'above', got {side!r}")
-        return CubicalSet(self.dim - 1, [b.project(axis) for b in picked])
+        rest = self.grids[:axis] + self.grids[axis + 1:]
+        return CubicalSet(rest, np.take(self.occ, row, axis=axis))
 
     def boundary_slice(self, axis: int, s: RatLike) -> "CubicalSet":
         """Closure of the two-sided cross-section difference at an interior
@@ -283,28 +272,48 @@ class CubicalSet:
 
     def complement(self) -> "CubicalSet":
         """Closure of ``[0,1]^n \\ X``; preserves relative perimeter."""
-        return CubicalSet.unit(self.dim).difference(self)
+        return CubicalSet(self.grids, ~self.occ)
 
     # -- isometries ------------------------------------------------------
 
     def apply(self, iso: "CubeIsometry") -> "CubicalSet":
         if iso.dim != self.dim:
             raise DimensionMismatchError("isometry dimension mismatch")
-        return CubicalSet(self.dim, [iso.apply_box(b) for b in self.boxes])
+        grids = [
+            tuple(ONE - c for c in reversed(self.grids[p])) if f else self.grids[p]
+            for p, f in zip(iso.perm, iso.flip)
+        ]
+        return CubicalSet(grids, _transform_cells(self.occ, self.dim, iso.perm, iso.flip))
 
 
 # -- the occupancy grid -------------------------------------------------------
 
 
-def _cuts(dim: int, boxes: Iterable[AxisBox]) -> list[list[Fraction]]:
-    """Per axis, the sorted distinct box coordinates together with 0 and 1."""
-    grids = []
-    for i in range(dim):
-        s = {ZERO, ONE}
-        for b in boxes:
-            s.update(b.interval(i))
-        grids.append(sorted(s))
-    return grids
+def _reduce(grids, occ) -> tuple[tuple, np.ndarray]:
+    """Canonical form of a grid: drop the cell rows between equal cuts, then
+    every interior cut across which occupancy does not change."""
+    grids = [tuple(g) for g in grids]
+    occ = np.asarray(occ, dtype=bool)
+    for axis, g in enumerate(grids):
+        rows = [k for k in range(len(g) - 1) if g[k] < g[k + 1]]
+        if len(rows) < len(g) - 1:
+            occ = np.take(occ, rows, axis=axis)
+            grids[axis] = (g[0],) + tuple(g[k + 1] for k in rows)
+    for axis, g in enumerate(grids):
+        cells, succ = _neighbours(occ, axis)
+        others = tuple(i for i in range(occ.ndim) if i != axis)
+        change = np.any(cells != succ, axis=others)
+        if not change.all():
+            rows = [0] + [k + 1 for k in np.flatnonzero(change).tolist()]
+            occ = np.take(occ, rows, axis=axis)
+            grids[axis] = (g[0],) + tuple(g[k] for k in rows[1:]) + (g[-1],)
+    occ = np.array(occ, dtype=bool)
+    occ.flags.writeable = False
+    return tuple(grids), occ
+
+
+def _widths(grids) -> list[list[Fraction]]:
+    return [[b - a for a, b in zip(g, g[1:])] for g in grids]
 
 
 def _fill(grids: list, boxes: Iterable[AxisBox]) -> np.ndarray:
@@ -313,17 +322,22 @@ def _fill(grids: list, boxes: Iterable[AxisBox]) -> np.ndarray:
     shape = tuple(len(g) - 1 for g in grids)
     occ = np.zeros(shape, dtype=bool)
     for b in boxes:
-        sl = tuple(
-            slice(index[i][b.lo[i]], index[i][b.hi[i]]) for i in range(b.dim)
-        )
-        occ[sl] = True
+        occ[tuple(slice(ix[a], ix[c]) for ix, a, c in zip(index, b.lo, b.hi))] = True
     return occ
 
 
-def _occupancy(x: CubicalSet) -> tuple[list[list[Fraction]], np.ndarray]:
-    """The set's cuts per axis and its occupancy array on their cells."""
-    grids = _cuts(x.dim, x.boxes)
-    return grids, _fill(grids, x.boxes)
+def _refine(grids, fine, occ: np.ndarray) -> np.ndarray:
+    """The occupancy ``occ`` of ``grids`` on the cells of ``fine``, a grid
+    that holds every cut of ``grids``."""
+    index = []
+    for g, f in zip(grids, fine):
+        rows, j = [], 0
+        for c in f[:-1]:
+            while g[j + 1] <= c:
+                j += 1
+            rows.append(j)
+        index.append(rows)
+    return occ[np.ix_(*index)] if index else occ
 
 
 def _grid_boxes(grids: list, occ: np.ndarray) -> tuple[AxisBox, ...]:
@@ -342,38 +356,46 @@ def _grid_boxes(grids: list, occ: np.ndarray) -> tuple[AxisBox, ...]:
     return tuple(out)
 
 
-def _canonicalize(dim: int, boxes: tuple) -> tuple:
+def _canonicalize(dim: int, boxes: tuple) -> tuple[list, np.ndarray]:
+    """The grid of a union of boxes: per axis, the box coordinates with 0
+    and 1 as cuts, and the cells the boxes cover."""
     for b in boxes:
         if b.dim != dim:
-            raise DimensionMismatchError(
-                f"box of dim {b.dim} in a dim-{dim} set"
-            )
-    grids = _cuts(dim, boxes)
-    return _grid_boxes(grids, _fill(grids, boxes))
+            raise DimensionMismatchError(f"box of dim {b.dim} in a dim-{dim} set")
+    grids = [
+        sorted({ZERO, ONE}.union(*((b.lo[i], b.hi[i]) for b in boxes)))
+        for i in range(dim)
+    ]
+    return grids, _fill(grids, boxes)
 
 
 def _combine(x: CubicalSet, y: CubicalSet, op) -> CubicalSet:
+    """``op`` on the occupancies of both sets, refined onto their merged cuts."""
     if x.dim != y.dim:
         raise DimensionMismatchError("boolean operation dimension mismatch")
-    grids = _cuts(x.dim, x.boxes + y.boxes)
-    occ = op(_fill(grids, x.boxes), _fill(grids, y.boxes))
-    return CubicalSet(x.dim, _grid_boxes(grids, occ), _canonical=True)
+    grids = [a if a == b else sorted(set(a).union(b)) for a, b in zip(x.grids, y.grids)]
+    occ = op(_refine(x.grids, grids, x.occ), _refine(y.grids, grids, y.occ))
+    return CubicalSet(grids, occ)
+
+
+def _weigh(counts: np.ndarray, widths: list) -> Fraction:
+    """Sum of ``counts`` over the cells of a grid with these cell widths,
+    each count weighted by its cell's measure."""
+    v = counts
+    for w in reversed(widths):
+        v = np.dot(v, np.array(w, dtype=object))  # contract the last axis
+    return v if widths else ONE * int(v)
 
 
 def _face_area(grids: list, occ: np.ndarray) -> Fraction:
     """Total area of the faces between adjacent cells of different
     occupancy; faces on the cube walls do not count."""
-    widths = [[b - a for a, b in zip(g, g[1:])] for g in grids]
+    widths = _widths(grids)
     total = ZERO
     for axis in range(len(grids)):
         cells, succ = _neighbours(occ, axis)
         changes = np.count_nonzero(cells != succ, axis=axis)  # per line
-        others = widths[:axis] + widths[axis + 1:]
-        for idx in np.argwhere(changes):
-            area = ONE
-            for w, i in zip(others, idx):
-                area *= w[i]
-            total += int(changes[tuple(idx)]) * area
+        total += _weigh(changes, widths[:axis] + widths[axis + 1:])
     return total
 
 
@@ -467,16 +489,6 @@ class CubeIsometry:
             out.append(ONE - v if self.flip[i] else v)
         return tuple(out)
 
-    def apply_box(self, b: AxisBox) -> AxisBox:
-        lo, hi = [], []
-        for i in range(self.dim):
-            a, c = b.interval(self.perm[i])
-            if self.flip[i]:
-                a, c = ONE - c, ONE - a
-            lo.append(a)
-            hi.append(c)
-        return AxisBox(tuple(lo), tuple(hi))
-
     def compose(self, other: "CubeIsometry") -> "CubeIsometry":
         """Return self applied after ``other``."""
         if self.dim != other.dim:
@@ -509,7 +521,10 @@ def equal_up_to_isometry(
     """Witness isometry ``g`` with ``g(x) == y``, or None."""
     if x.dim != y.dim:
         raise DimensionMismatchError("cannot compare sets of different dim")
-    if x.volume() != y.volume() or len(x.boxes) != len(y.boxes):
+    def key(z):  # isometry invariants: volume, grid shape, occupied cells
+        return z.volume(), sorted(z.occ.shape), np.count_nonzero(z.occ)
+
+    if key(x) != key(y):
         return None
     for g in all_isometries(x.dim):
         if x.apply(g) == y:
@@ -607,18 +622,17 @@ class VoxelSet:
 
 
 def voxelize(x: CubicalSet, res: int) -> VoxelSet:
-    """Exact conversion; every coordinate of ``x`` must be a multiple of 1/m."""
-    for b in x.boxes:
-        for c in b.lo + b.hi:
+    """Exact conversion; every cut of ``x`` must be a multiple of 1/m."""
+    for g in x.grids:
+        for c in g:
             if (c * res).denominator != 1:
                 raise AlignmentError(c, res)
-    return VoxelSet(res, _fill(_uniform_grids(x.dim, res), x.boxes))
+    return VoxelSet(res, _refine(x.grids, _uniform_grids(x.dim, res), x.occ))
 
 
 def devoxelize(v: VoxelSet) -> CubicalSet:
-    """Canonical box union of the occupied cells."""
-    boxes = _grid_boxes(_uniform_grids(v.dim, v.res), v.cells)
-    return CubicalSet(v.dim, boxes, _canonical=True)
+    """The set of the occupied cells."""
+    return CubicalSet(_uniform_grids(v.dim, v.res), v.cells)
 
 
 def _uniform_grids(dim: int, res: int) -> list[list[Fraction]]:

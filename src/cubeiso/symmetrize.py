@@ -14,16 +14,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, InternalCheckError
-from .geometry import (
-    ONE,
-    ZERO,
-    AxisBox,
-    CubicalSet,
-    _cuts,
-    _is_monotone_cells,
-    _occupancy,
-)
+from .geometry import ONE, ZERO, CubicalSet, _is_monotone_cells
 
 __all__ = [
     "steiner",
@@ -37,20 +31,27 @@ __all__ = [
 
 class _Profile:
     """Height function of a set over the grid perpendicular to one axis:
-    ``heights[idx]`` is the column measure of the grid cell."""
+    ``heights[idx]`` is the column measure of the grid cell.  Never
+    mutated; a set caches one per axis (see :func:`_height_profile`)."""
 
-    __slots__ = ("dim", "axis", "grids", "heights")
+    __slots__ = ("axis", "grids", "heights")
 
-    def __init__(self, dim, axis, grids, heights):
-        self.dim = dim
+    def __init__(self, axis, grids, heights):
         self.axis = axis
         self.grids = grids  # per base axis: sorted cuts including 0 and 1
         self.heights = heights  # dict: cell index tuple -> Fraction
 
-    def cell_area(self, idx) -> Fraction:
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(g) - 1 for g in self.grids)
+
+    def cell_area(self, idx, skip=None) -> Fraction:
+        """Measure of the base cell ``idx``; with ``skip``, of its face
+        across base axis ``skip``."""
         a = ONE
-        for g, i in zip(self.grids, idx):
-            a *= g[i + 1] - g[i]
+        for k, (g, i) in enumerate(zip(self.grids, idx)):
+            if k != skip:
+                a *= g[i + 1] - g[i]
         return a
 
     def level_cells(self, s: Fraction) -> list:
@@ -66,29 +67,17 @@ class _Profile:
         return [v for v in self.levels() if ZERO < v < ONE]
 
     def volume(self) -> Fraction:
-        return sum(
-            (h * self.cell_area(idx) for idx, h in self.heights.items()), ZERO
-        )
-
-    def edge_length(self, idx, j) -> Fraction:
-        e = ONE
-        for k, g in enumerate(self.grids):
-            if k != j:
-                e *= g[idx[k] + 1] - g[idx[k]]
-        return e
+        return sum((h * self.cell_area(i) for i, h in self.heights.items()), ZERO)
 
     def to_set(self) -> CubicalSet:
-        """The subgraph: each column is the interval [0, height]."""
-        boxes = []
-        for idx, h in self.heights.items():
-            if h == 0:
-                continue
-            lo = [self.grids[k][i] for k, i in enumerate(idx)]
-            hi = [self.grids[k][i + 1] for k, i in enumerate(idx)]
-            lo.insert(self.axis, ZERO)
-            hi.insert(self.axis, h)
-            boxes.append(AxisBox(tuple(lo), tuple(hi)))
-        return CubicalSet.from_boxes(self.dim, boxes)
+        """The subgraph: each column is the interval [0, height].  Its cuts
+        along the axis are the distinct heights with 0 and 1."""
+        cuts = sorted(set(self.heights.values()) | {ZERO, ONE})
+        index = {c: k for k, c in enumerate(cuts)}
+        top = np.array([index[h] for h in self.heights.values()], dtype=np.intp)
+        occ = np.arange(len(cuts) - 1) < top.reshape(self.shape + (1,))
+        grids = [*self.grids[: self.axis], cuts, *self.grids[self.axis:]]
+        return CubicalSet(grids, np.moveaxis(occ, -1, self.axis))
 
     def relative_perimeter(self) -> Fraction:
         """Caps plus wall differences; valid for monotone height functions."""
@@ -102,25 +91,27 @@ class _Profile:
                 nb = idx[:j] + (idx[j] + 1,) + idx[j + 1:]
                 diff = h - self.heights[nb]
                 if diff != 0:
-                    total += abs(diff) * self.edge_length(idx, j)
+                    total += abs(diff) * self.cell_area(idx, j)
         return total
 
 
-def _build_profile(x: CubicalSet, axis: int) -> _Profile:
-    grids = _cuts(x.dim, x.boxes)
-    del grids[axis]
-    heights = dict.fromkeys(
-        itertools.product(*[range(len(g) - 1) for g in grids]), ZERO
-    )
-    index = [{c: k for k, c in enumerate(g)} for g in grids]
-    for b in x.boxes:
-        lo = b.lo[:axis] + b.lo[axis + 1:]
-        hi = b.hi[:axis] + b.hi[axis + 1:]
-        length = b.hi[axis] - b.lo[axis]
-        spans = [range(ix[a], ix[c]) for ix, a, c in zip(index, lo, hi)]
-        for idx in itertools.product(*spans):
-            heights[idx] += length
-    return _Profile(x.dim, axis, grids, heights)
+def _height_profile(x: CubicalSet, axis: int) -> _Profile:
+    """The height profile of ``x`` along ``axis``, built once per set from
+    its occupancy and the cut widths."""
+    return x._cached(("profile", axis), lambda: _read_profile(x, axis))
+
+
+def _read_profile(x: CubicalSet, axis: int) -> _Profile:
+    """Each column's height: the summed widths of its occupied cells."""
+    g = x.grids[axis]
+    widths = [b - a for a, b in zip(g, g[1:])]
+    base = x.grids[:axis] + x.grids[axis + 1:]
+    columns = np.moveaxis(x.occ, axis, -1).reshape(-1, len(widths)).tolist()
+    cells = itertools.product(*(range(len(c) - 1) for c in base))
+    heights = {
+        idx: sum(itertools.compress(widths, col), ZERO) for idx, col in zip(cells, columns)
+    }
+    return _Profile(axis, base, heights)
 
 
 # -- symmetrization ------------------------------------------------------------
@@ -130,13 +121,13 @@ def steiner(x: CubicalSet, axis: int) -> CubicalSet:
     """Steiner symmetrization of ``x`` in direction ``axis``; exact."""
     if not 0 <= axis < x.dim:
         raise DomainError(f"axis {axis} out of range for dim {x.dim}")
-    return _build_profile(x, axis).to_set()
+    return _height_profile(x, axis).to_set()
 
 
 def is_symmetrized(x: CubicalSet) -> bool:
     """True when ``x`` is a fixed point of every axis symmetrization, that
     is, when its occupancy grid never increases along any axis."""
-    return _is_monotone_cells(_occupancy(x)[1], x.dim)
+    return _is_monotone_cells(x.occ, x.dim)
 
 
 def symmetrize_all(x: CubicalSet) -> CubicalSet:

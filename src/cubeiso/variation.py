@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     DomainError,
     EventError,
@@ -29,9 +31,8 @@ from .errors import (
     NotSymmetrizedError,
     PreconditionError,
 )
-from .geometry import ONE, ZERO, AxisBox, CubicalSet, as_rat
-from .geometry import _is_monotone_cells, _occupancy
-from .symmetrize import _build_profile, _Profile, is_symmetrized, symmetrize_all
+from .geometry import ONE, ZERO, CubicalSet, _is_monotone_cells, as_rat
+from .symmetrize import _height_profile, _Profile, is_symmetrized, symmetrize_all
 
 __all__ = [
     "SliceData",
@@ -56,10 +57,18 @@ HALF = Fraction(1, 2)
 def monotone_relative_perimeter(x: CubicalSet) -> Fraction:
     """Relative perimeter via one height profile; requires a symmetrized set.
 
-    Independent of the weighted face count in :mod:`cubeiso.geometry`; the
-    two routes are cross-checked in the test suite.
+    Independent of the weighted face count in :mod:`cubeiso.geometry`: the
+    heights along axis 0 are summed from the canonical boxes, and the two
+    routes are cross-checked in the test suite.
     """
-    return _build_profile(x, 0).relative_perimeter()
+    grids = x.grids[1:]
+    heights = dict.fromkeys(itertools.product(*[range(len(g) - 1) for g in grids]), ZERO)
+    index = [{c: k for k, c in enumerate(g)} for g in grids]
+    for b in x.boxes:
+        spans = [range(ix[a], ix[c]) for ix, a, c in zip(index, b.lo[1:], b.hi[1:])]
+        for idx in itertools.product(*spans):
+            heights[idx] += b.hi[0] - b.lo[0]
+    return _Profile(0, grids, heights).relative_perimeter()
 
 
 def _require_symmetrized(x: CubicalSet, assume: bool):
@@ -131,7 +140,7 @@ def _slice_from_profile(prof: _Profile, s: Fraction) -> SliceData:
     nbase = len(prof.grids)
     for idx in cells:
         for j in range(nbase):
-            edge = prof.edge_length(idx, j)
+            edge = prof.cell_area(idx, j)
             for step in (-1, 1):
                 nj = idx[j] + step
                 if nj < 0 or nj > len(prof.grids[j]) - 2:
@@ -144,12 +153,10 @@ def _slice_from_profile(prof: _Profile, s: Fraction) -> SliceData:
                     inner += edge
                 else:
                     outer += edge
-    boxes = []
+    occ = np.zeros(prof.shape, dtype=bool)
     for idx in cells:
-        lo = tuple(prof.grids[k][idx[k]] for k in range(nbase))
-        hi = tuple(prof.grids[k][idx[k] + 1] for k in range(nbase))
-        boxes.append(AxisBox(lo, hi))
-    region = CubicalSet.from_boxes(prof.dim - 1, boxes)
+        occ[idx] = True
+    region = CubicalSet(prof.grids, occ)
     return SliceData(prof.axis, s, region, area, outer, cube, inner)
 
 
@@ -159,7 +166,7 @@ def slice_data(
     """Region, area and signed boundary classification of the singular
     slice of a symmetrized set at position ``s`` along ``axis``."""
     _require_symmetrized(x, assume_symmetrized)
-    return _slice_from_profile(_build_profile(x, axis), as_rat(s))
+    return _slice_from_profile(_height_profile(x, axis), as_rat(s))
 
 
 def _horizon(prof: _Profile, s: Fraction, direction: int) -> VariationEvent:
@@ -187,7 +194,7 @@ def event_horizon(
     s = as_rat(s)
     if isinstance(direction, str):
         direction = {"up": 1, "above": 1, "down": -1, "below": -1}[direction]
-    prof = _build_profile(x, axis)
+    prof = _height_profile(x, axis)
     if not prof.level_cells(s) or not (ZERO < s < ONE):
         raise NonSingularError(f"{s} is not an interior singular point")
     return _horizon(prof, s, direction)
@@ -205,15 +212,23 @@ def translate_slice(
     s, d = as_rat(s), as_rat(d)
     if d == 0:
         return x
-    prof = _build_profile(x, axis)
+    prof = _height_profile(x, axis)
     if not prof.level_cells(s) or not (ZERO < s < ONE):
         raise NonSingularError(f"{s} is not an interior singular point")
     horizon = _horizon(prof, s, 1 if d > 0 else -1)
     if abs(d) >= horizon.distance:
         raise EventError(horizon, d)
-    for idx in prof.level_cells(s):
-        prof.heights[idx] = s + d
-    return prof.to_set()
+    return _move_cuts(x, axis, {s: s + d})
+
+
+def _move_cuts(x: CubicalSet, axis: int, moves: dict) -> CubicalSet:
+    """``x`` with the cuts of ``axis`` moved (old value -> new value) and
+    its occupancy kept.  On a symmetrized set the cut at a level carries
+    the columns of that height, so this moves those slices; a cut moved
+    onto another cut or a wall drops the cell row between them."""
+    grids = list(x.grids)
+    grids[axis] = [moves.get(c, c) for c in grids[axis]]
+    return CubicalSet(grids, x.occ)
 
 
 # -- paired motions ----------------------------------------------------------
@@ -230,12 +245,12 @@ class _MotionInfo:
 
 
 def _joint_motion(
-    prof: _Profile, s_grow: Fraction, s_shrink: Fraction
+    x: CubicalSet, axis: int, s_grow: Fraction, s_shrink: Fraction, step: str
 ) -> tuple[CubicalSet, _MotionInfo]:
-    """Raise the ``s_grow`` level and lower the ``s_shrink`` level at equal
-    volume rates, stopping exactly at the first event."""
-    grow_cells = prof.level_cells(s_grow)
-    shrink_cells = prof.level_cells(s_shrink)
+    """Raise the ``s_grow`` level and lower the ``s_shrink`` level of a
+    symmetrized set at equal volume rates, stopping exactly at the first
+    event; ``step`` names the caller in the volume check."""
+    prof = _height_profile(x, axis)
     a_g = prof.level_area(s_grow)
     a_s = prof.level_area(s_shrink)
     values = set(prof.levels()) | {ZERO, ONE}
@@ -259,12 +274,10 @@ def _joint_motion(
     )
     p_grow = s_grow + t_star / a_g
     p_shrink = s_shrink - t_star / a_s
-    for idx in grow_cells:
-        prof.heights[idx] = p_grow
-    for idx in shrink_cells:
-        prof.heights[idx] = p_shrink
-    info = _MotionInfo(kind, t_star, s_grow, p_grow, s_shrink, p_shrink)
-    return prof.to_set(), info
+    y = _move_cuts(x, axis, {s_grow: p_grow, s_shrink: p_shrink})
+    if y.volume() != x.volume():
+        raise InternalCheckError(f"{step} changed the volume")
+    return y, _MotionInfo(kind, t_star, s_grow, p_grow, s_shrink, p_shrink)
 
 
 def merge_step(
@@ -282,7 +295,7 @@ def _merge_step_full(x, axis, s1, s2, assume):
     _require_symmetrized(x, assume)
     if not s1 < s2:
         raise DomainError("merge_step requires s1 < s2")
-    prof = _build_profile(x, axis)
+    prof = _height_profile(x, axis)
     d1 = _slice_from_profile(prof, s1)
     d2 = _slice_from_profile(prof, s2)
     if d1.first_var != d2.first_var:
@@ -290,16 +303,11 @@ def _merge_step_full(x, axis, s1, s2, assume):
             f"first variations differ ({d1.first_var} vs {d2.first_var}); "
             "use improve_step"
         )
-    before_vol = prof.volume()
-    before_per = prof.relative_perimeter()
-    before_count = len(prof.interior_levels())
-    y, info = _joint_motion(prof, s1, s2)
-    after = _build_profile(y, axis)
-    if after.volume() != before_vol:
-        raise InternalCheckError("merge_step changed the volume")
-    if after.relative_perimeter() != before_per:
+    y, info = _joint_motion(x, axis, s1, s2, "merge_step")
+    after = _height_profile(y, axis)
+    if after.relative_perimeter() != prof.relative_perimeter():
         raise InternalCheckError("merge_step changed the relative perimeter")
-    if not len(after.interior_levels()) < before_count:
+    if not len(after.interior_levels()) < len(prof.interior_levels()):
         raise InternalCheckError("merge_step did not reduce the slice count")
     return y, info
 
@@ -337,14 +345,9 @@ def improve_step(
 
 
 def _improve_same_axis_full(x, axis, s_grow, s_shrink, d_grow, d_shrink):
-    prof = _build_profile(x, axis)
-    before_vol = prof.volume()
-    before_per = prof.relative_perimeter()
-    y, info = _joint_motion(prof, s_grow, s_shrink)
-    after = _build_profile(y, axis)
-    if after.volume() != before_vol:
-        raise InternalCheckError("improve_step changed the volume")
-    after_per = after.relative_perimeter()
+    y, info = _joint_motion(x, axis, s_grow, s_shrink, "improve_step")
+    before_per = _height_profile(x, axis).relative_perimeter()
+    after_per = _height_profile(y, axis).relative_perimeter()
     predicted = (d_grow.first_var - d_shrink.first_var) * info.exchanged
     if info.event in ("slices-collide", "slice-area-changes"):
         if after_per - before_per != predicted:
@@ -362,7 +365,7 @@ def _improve_cross_axis(x, grow, shrink):
     interact), then shrink it by the exactly matching volume.  The step is
     halved until the quadratic interaction term is dominated."""
     (s1, i1, d1), (s2, i2, _) = grow, shrink
-    h_g = _horizon(_build_profile(x, i1), s1, 1).distance
+    h_g = _horizon(_height_profile(x, i1), s1, 1).distance
     sigma = h_g / 2
     before_vol = x.volume()
     before_per = x.relative_perimeter()
@@ -374,7 +377,7 @@ def _improve_cross_axis(x, grow, shrink):
             sigma /= 2
             continue
         tau = sigma * d1.area / d2_new.area
-        h_s = _horizon(_build_profile(y1, i2), s2, -1).distance
+        h_s = _horizon(_height_profile(y1, i2), s2, -1).distance
         if tau >= h_s:
             sigma /= 2
             continue
@@ -410,7 +413,7 @@ def check_stationarity(
     _require_symmetrized(x, assume_symmetrized)
     slices = []
     for axis in range(x.dim):
-        prof = _build_profile(x, axis)
+        prof = _height_profile(x, axis)
         for v in prof.interior_levels():
             slices.append(_slice_from_profile(prof, v))
     fvs = {d.first_var for d in slices}
@@ -428,8 +431,7 @@ def is_special(x: CubicalSet) -> bool:
     """
     if not (ZERO < x.volume() <= HALF):
         return False
-    grids, occ = _occupancy(x)
-    return all(len(g) <= 3 for g in grids) and _is_monotone_cells(occ, x.dim)
+    return all(len(g) <= 3 for g in x.grids) and _is_monotone_cells(x.occ, x.dim)
 
 
 @dataclass(frozen=True)
@@ -456,40 +458,25 @@ def reduce_to_special(
     """
     if not (ZERO < x.volume() <= HALF):
         raise DomainError("reduction requires volume in (0, 1/2]")
-    log: list[ReductionStep] = []
     y = symmetrize_all(x)
-    log.append(
-        ReductionStep(
-            "symmetrize",
-            None,
-            (),
-            (),
-            ZERO,
-            y.relative_perimeter() - x.relative_perimeter(),
-            ZERO,
-        )
-    )
-    profiles = [_build_profile(y, i) for i in range(y.dim)]
-    cap = cap_factor * (
-        sum(len(p.interior_levels()) for p in profiles) + y.dim
-    )
+    d_per = y.relative_perimeter() - x.relative_perimeter()
+    log = [ReductionStep("symmetrize", None, (), (), ZERO, d_per, ZERO)]
+
+    def interior(i):
+        return _height_profile(y, i).interior_levels()
+
+    cap = cap_factor * (sum(len(interior(i)) for i in range(y.dim)) + y.dim)
     steps = 0
     while True:
-        target = None
-        for i in range(y.dim):
-            prof = _build_profile(y, i)
-            if len(prof.interior_levels()) >= 2:
-                target = (i, prof)
-                break
-        if target is None:
+        axis = next((i for i in range(y.dim) if len(interior(i)) >= 2), None)
+        if axis is None:
             break
         steps += 1
         if steps > cap:
             raise IterationCapError(f"reduction exceeded {cap} steps", log)
-        axis, prof = target
+        prof = _height_profile(y, axis)
         levels = prof.interior_levels()
         data = {v: _slice_from_profile(prof, v) for v in levels}
-        before_per = prof.relative_perimeter()
         pair = None
         for a, b in itertools.combinations(levels, 2):
             if data[a].first_var == data[b].first_var:
@@ -501,24 +488,13 @@ def reduce_to_special(
         else:
             lo = min(levels, key=lambda v: (data[v].first_var, v))
             hi = max(levels, key=lambda v: (data[v].first_var, -v))
-            z, info = _improve_same_axis_full(
-                y, axis, lo, hi, data[lo], data[hi]
-            )
+            z, info = _improve_same_axis_full(y, axis, lo, hi, data[lo], data[hi])
             kind = "improve"
-        d_per = _build_profile(z, axis).relative_perimeter() - before_per
+        d_per = _height_profile(z, axis).relative_perimeter() - prof.relative_perimeter()
         if d_per > 0 or z.volume() != y.volume():
             raise InternalCheckError("reduction step violated its contract")
-        log.append(
-            ReductionStep(
-                kind,
-                axis,
-                (info.grow_from, info.shrink_from),
-                (info.grow_to, info.shrink_to),
-                info.exchanged,
-                d_per,
-                ZERO,
-            )
-        )
+        moved = (info.grow_from, info.shrink_from), (info.grow_to, info.shrink_to)
+        log.append(ReductionStep(kind, axis, *moved, info.exchanged, d_per, ZERO))
         y = z
     if not is_special(y):
         raise InternalCheckError("reduction output failed the special-set check")

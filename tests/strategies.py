@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 from hypothesis import strategies as st
 
-from cubeiso.geometry import CubicalSet, VoxelSet, box, devoxelize
+from cubeiso.geometry import CubeIsometry, CubicalSet, VoxelSet, box, devoxelize
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 4099, 8191]
 
@@ -39,7 +39,10 @@ def grid_or_rational_sets(draw, dim=None):
 def two_cell_sets(draw, dim=None, monotone=False):
     """Random occupancy of a grid with one random cut per axis, in
     dimension ``dim`` (1-3 when not given): the grids special sets live on.
-    With ``monotone``, every cell below an occupied one is occupied too."""
+    With ``monotone``, every cell below an occupied one is occupied too, at
+    least one cell but never the top one is drawn, and a set of volume
+    above 1/2 is replaced by its complement flipped on every axis, so the
+    set is special."""
     if dim is None:
         dim = draw(st.integers(1, 3))
     grids = []
@@ -47,11 +50,17 @@ def two_cell_sets(draw, dim=None, monotone=False):
         p = draw(st.sampled_from(PRIMES))
         grids.append([F(0), F(draw(st.integers(1, p - 1)), p), F(1)])
     cells = list(itertools.product((0, 1), repeat=dim))
-    drawn = [cell for cell in cells if draw(st.booleans())]
     if monotone:
+        # the top cell would close down to the full cube
+        drawn = [c for c in cells[:-1] if draw(st.booleans())] or cells[:1]
         drawn = [c for c in cells if any(all(a <= b for a, b in zip(c, d)) for d in drawn)]
+    else:
+        drawn = [cell for cell in cells if draw(st.booleans())]
     boxes = [
         box([g[i] for g, i in zip(grids, cell)], [g[i + 1] for g, i in zip(grids, cell)])
         for cell in drawn
     ]
-    return CubicalSet.from_boxes(dim, boxes)
+    x = CubicalSet.from_boxes(dim, boxes)
+    if monotone and x.volume() > F(1, 2):
+        x = x.complement().apply(CubeIsometry(tuple(range(dim)), (True,) * dim))
+    return x

@@ -12,6 +12,7 @@ import pytest
 from cubeiso.classify import realize
 from cubeiso.errors import DomainError, FormatError, RationalParseError
 from cubeiso.formats import (
+    MAX_VOXEL_CELLS,
     export_obj,
     parse_rat,
     set_from_json,
@@ -19,7 +20,7 @@ from cubeiso.formats import (
     voxel_from_json,
     voxel_to_json,
 )
-from cubeiso.geometry import CubicalSet, voxelize
+from cubeiso.geometry import CubicalSet, VoxelSet, voxelize
 
 HALF = F(1, 2)
 
@@ -69,6 +70,16 @@ class TestJson:
             with pytest.raises(FormatError, match=re.escape(field)):
                 voxel_from_json(text)
 
+    def test_voxel_budget_checked_before_allocation(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("allocated an oversized voxel grid")
+
+        monkeypatch.setattr(VoxelSet, "from_indices", allocate)
+        with pytest.raises(FormatError, match="'res'"):
+            voxel_from_json('{"dim": 3, "res": 1000000000, "cells": [0]}')
+        with pytest.raises(FormatError, match=str(MAX_VOXEL_CELLS)):
+            voxel_from_json(f'{{"dim": 1, "res": {MAX_VOXEL_CELLS + 1}, "cells": []}}')
+
 
 class TestObj:
     def test_half_cube_mesh(self):
@@ -114,6 +125,7 @@ class TestCli:
     def test_profile_rejects_bad_volume(self):
         assert run_cli("profile", "--volume", "3/4").returncode == 2
         assert run_cli("profile", "--volume", "x/y").returncode == 1
+        assert run_cli("profile", "--volume", "1/0").returncode == 1
 
     def test_usage_error(self):
         assert run_cli("frobnicate").returncode == 1
@@ -199,6 +211,10 @@ class TestCli:
             ("[1, 2]", "JSON object"),
             ('{"dim": "x", "boxes": []}', "'dim'"),
             ('{"dim": 3, "boxes": [{"lo": ["0", "0", "0"]}]}', "'boxes[0].hi'"),
+            ('{"dim": 1, "boxes": [{"lo": ["1/0"], "hi": ["1"]}]}', "'boxes[0].lo[0]'"),
+            ('{"dim": 70, "boxes": []}', "'dim'"),
+            ('{"dim": 40, "res": 1, "cells": []}', "'dim'"),
+            ('{"dim": 3, "res": 1000000, "cells": []}', "'res'"),
         ],
     )
     def test_malformed_set_file(self, tmp_path, text, field):
@@ -208,6 +224,16 @@ class TestCli:
         assert out.returncode == 2
         assert field in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_usage_mistakes_exit_1(self):
+        for argv in (
+            ("profile", "--range", "1/4", "1/2"),
+            ("search", "--dim", "3", "--res", "2"),
+        ):
+            out = run_cli(*argv)
+            assert out.returncode == 1, argv
+            assert "Traceback" not in out.stderr
+            assert out.stdout == ""
 
     def test_profile_rejects_reversed_range(self):
         out = run_cli("profile", "--range", "1/2", "1/4", "--step", "1/8")

@@ -251,6 +251,21 @@ def test_isometry_invariance(sets):
 
 
 @settings(max_examples=60, deadline=None)
+@given(two_sets_and_isometry())
+def test_the_set_is_its_canonical_grid(sets):
+    x, y, g = sets
+    assert CubicalSet.from_boxes(x.dim, x.boxes) == x
+    for axis, cuts in enumerate(x.grids):
+        assert cuts[0] == 0 and cuts[-1] == 1 and list(cuts) == sorted(set(cuts))
+        for k in range(1, len(cuts) - 1):  # occupancy changes across every interior cut
+            below, above = np.take(x.occ, k - 1, axis=axis), np.take(x.occ, k, axis=axis)
+            assert np.any(below != above)
+    for z in (y, x.apply(g), x.union(x.intersection(y)), x.complement()):
+        assert (x == z) == x.sym_difference(z).is_empty
+        assert (x == z) == (hash(x) == hash(z) and x.boxes == z.boxes)
+
+
+@settings(max_examples=60, deadline=None)
 @given(grid_or_rational_sets())
 def test_complement_keeps_perimeter(x):
     comp = x.complement()

@@ -8,7 +8,7 @@ from strategies import grid_or_rational_sets
 
 from cubeiso.geometry import CubicalSet, boundary_faces, devoxelize, voxelize
 from cubeiso.sampling import random_voxel
-from cubeiso.symmetrize import _build_profile, is_symmetrized, steiner, symmetrize_all
+from cubeiso.symmetrize import _height_profile, is_symmetrized, steiner, symmetrize_all
 
 HALF = F(1, 2)
 
@@ -52,7 +52,7 @@ def test_checkerboard_symmetrizes_to_slab():
 def test_column_profiles_sum_to_volume():
     x = cs(2, [((0, 0), (HALF, 1)), ((0, 0), (1, HALF))])
     for axis in range(2):
-        prof = _build_profile(x, axis)
+        prof = _height_profile(x, axis)
         total = sum(h * prof.cell_area(idx) for idx, h in prof.heights.items())
         assert total == prof.volume() == x.volume()
         assert prof.to_set() == steiner(x, axis)
@@ -113,3 +113,6 @@ def test_grid_kernel_laws(x):
         assert is_symmetrized(y) == all(steiner(y, i) == y for i in range(y.dim))
         for i in range(y.dim):
             assert steiner(y, i).volume() == y.volume()
+            prof = _height_profile(y, i)
+            assert _height_profile(y, i) is prof  # built once per set and axis
+            assert prof.volume() == y.volume()

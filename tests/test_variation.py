@@ -18,7 +18,7 @@ from cubeiso.errors import (
 from cubeiso.classify import classify
 from cubeiso.geometry import CubicalSet, VoxelSet
 from cubeiso.sampling import random_monotone_set
-from cubeiso.symmetrize import _build_profile, is_symmetrized, steiner, symmetrize_all
+from cubeiso.symmetrize import _height_profile, is_symmetrized, steiner, symmetrize_all
 from cubeiso.variation import (
     check_stationarity,
     event_horizon,
@@ -78,9 +78,12 @@ def special_reference(x):
     interior level of the height profile along every axis."""
     if not (0 < x.volume() <= HALF and is_symmetrized(x)):
         return False
-    corner = tuple(min(c for c in x.coords(i) if c > 0) / 2 for i in range(x.dim))
+    corner = tuple(
+        min(c for b in x.boxes for c in (b.lo[i], b.hi[i]) if c > 0) / 2
+        for i in range(x.dim)
+    )
     return x.contains(corner) and all(
-        len(_build_profile(x, i).interior_levels()) <= 1 for i in range(x.dim)
+        len(_height_profile(x, i).interior_levels()) <= 1 for i in range(x.dim)
     )
 
 
@@ -91,6 +94,21 @@ def test_grid_reads_singular_points_and_specialness(x):
         assert is_special(y) == special_reference(y)
         for axis in range(y.dim):
             assert singular_points(y, axis) == singular_reference(y, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_or_rational_sets())
+def test_translation_moves_one_cut(x):
+    y = symmetrize_all(x)
+    for axis in range(y.dim):
+        for k, s in enumerate(y.grids[axis][1:-1], start=1):
+            for sign in (1, -1):
+                d = sign * event_horizon(y, axis, s, sign).distance / 2
+                z = translate_slice(y, axis, s, d)
+                assert np.array_equal(z.occ, y.occ)
+                moved = list(y.grids[axis])
+                moved[k] = s + d
+                assert z.grids == y.grids[:axis] + (tuple(moved),) + y.grids[axis + 1:]
 
 
 class TestSliceData:

@@ -397,7 +397,8 @@ def criterion_8(seed=DEFAULT_SEED) -> CriterionResult:
     checked_shapes = 0
     for m in (2, 3, 4):
         for k in range(0, m**3 // 2 + 1):
-            r = brute_min(3, m, k).min_perimeter
+            res = brute_min(3, m, k)
+            r = res.min_perimeter
             if k == 0:
                 if r != 0:
                     failures.append(f"m={m} k=0: nonzero minimum")
@@ -414,7 +415,6 @@ def criterion_8(seed=DEFAULT_SEED) -> CriterionResult:
             if not ok:
                 failures.append(f"m={m} k={k}: discrete {r} below the profile")
             checked_bounds += 1
-            res = brute_min(3, m, k)
             keys = {v2.orbit_key() for v2 in res.minimizers}
             for kind, occ in _representable_shapes(m, k, entry.kinds):
                 shape = VoxelSet(m, occ)

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -48,6 +47,11 @@ class _UsageError(CubeIsoError):
     """A command-line value outside the range its command accepts."""
 
 
+def _at_least(value: int, least: int, option: str) -> None:
+    if value < least:
+        raise _UsageError(f"{option} must be at least {least}, got {value}")
+
+
 def _write_out(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -57,6 +61,7 @@ def _write_out(text: str, out: str | None):
 
 
 def _cmd_profile(args) -> int:
+    _at_least(args.precision_bits, 0, "--precision-bits")
     step = parse_rat(args.step, "--step") if args.step else None
     if args.volume:
         vols = [parse_rat(args.volume, "--volume")]
@@ -203,13 +208,10 @@ def _cmd_firstvar(args) -> int:
     return EXIT_OK
 
 
-def _search_rows(dim, res, cells_list, bits, jobs=1):
-    from .search import brute_sweep_parallel
-
-    sweep = brute_sweep_parallel(dim, res, jobs) if jobs > 1 else None
+def _search_rows(dim, res, cells_list, bits):
     rows = []
     for k in cells_list:
-        r = brute_min(dim, res, k, sweep=sweep)
+        r = brute_min(dim, res, k)
         v = Fraction(k, res**dim)
         if k == 0:
             bound_lo = bound_hi = Fraction(0)
@@ -238,9 +240,8 @@ def _search_rows(dim, res, cells_list, bits, jobs=1):
 
 
 def _cmd_search(args) -> int:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise _UsageError(f"--jobs must lie in 1..{cpus}, got {args.jobs}")
+    _at_least(args.res, 1, "--res")
+    _at_least(args.precision_bits, 0, "--precision-bits")
     if args.all_k:
         cells = list(range(0, args.res**args.dim // 2 + 1))
     elif args.cells is not None:
@@ -252,7 +253,7 @@ def _cmd_search(args) -> int:
     writer.writerow(
         ["n", "m", "k", "V", "discrete_min", "continuous_bound", "n_minimizers", "kinds"]
     )
-    for row in _search_rows(args.dim, args.res, cells, args.precision_bits, args.jobs):
+    for row in _search_rows(args.dim, args.res, cells, args.precision_bits):
         writer.writerow(row)
     _write_out(buf.getvalue(), args.out)
     return EXIT_OK
@@ -267,6 +268,7 @@ def _cmd_export_mesh(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_least(args.seed, 0, "--seed")
     results = (
         [acceptance.run_one(args.only, seed=args.seed)]
         if args.only
@@ -327,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--res", type=int, required=True)
     sp.add_argument("--cells", type=int)
     sp.add_argument("--all-k", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers, 1..CPU count")
     common(sp, inp=False)
     precision(sp)
     sp.set_defaults(fn=_cmd_search)

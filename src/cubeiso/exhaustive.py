@@ -75,6 +75,10 @@ def _audit_small(dim: int, res: int, limit: int) -> AuditOutcome:
 # -- bit-parallel 3D m=3 pipeline ---------------------------------------------
 
 _COL_MASK = 0b111
+# Sets per chunk: 2^16 scans all 2^27 sets about as fast as larger chunks
+# and holds the peak memory near 40 MB; criterion 5's scan, which stops
+# after 4 violations, finds them in the first chunk.
+_CHUNK_BITS = 16
 
 
 def _luts_3x3x3():
@@ -123,13 +127,13 @@ def _iso_chunk_tables():
     return tables
 
 
-def _audit_3x3x3(limit: int, stop_after: int, chunk_bits: int = 22) -> AuditOutcome:
+def _audit_3x3x3(limit: int, stop_after: int) -> AuditOutcome:
     fill, caps, diff64 = _luts_3x3x3()
     iso_tables = _iso_chunk_tables()
     x_pairs = [(c, c + 3) for c in range(6)]
     y_pairs = [(x * 3 + y, x * 3 + y + 1) for x in range(3) for y in range(2)]
     total = 1 << 27
-    step = 1 << chunk_bits
+    step = 1 << _CHUNK_BITS
     violations: list[VoxelSet] = []
     preserved_total = 0
     checked = 0

@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from .errors import DomainError, FormatError, RationalParseError
-from .geometry import AxisBox, CubicalSet, VoxelSet, boundary_faces
+from .geometry import MAX_GRID_CELLS, AxisBox, CubicalSet, VoxelSet, boundary_faces
 
 MAX_DIM = 32  # arrays hold at most 32 axes before NumPy 2.0 (64 from 2.0)
-MAX_VOXEL_CELLS = 1 << 24  # res**dim of the largest voxel file read
+MAX_VOXEL_CELLS = MAX_GRID_CELLS  # res**dim of the largest voxel file read
 
 __all__ = [
     "rat_to_str",
@@ -97,7 +97,10 @@ def set_from_json(text: str) -> CubicalSet:
         if type(entry) is not dict:
             raise FormatError(f"field {where!r} must be an object, got {entry!r}")
         boxes.append(AxisBox(_coords(entry, "lo", where), _coords(entry, "hi", where)))
-    return CubicalSet.from_boxes(dim, boxes)
+    try:
+        return CubicalSet.from_boxes(dim, boxes)
+    except DomainError as exc:  # the grid of the boxes is over budget
+        raise FormatError(f"field 'boxes': {exc}") from None
 
 
 def voxel_to_json(v: VoxelSet) -> str:

@@ -29,6 +29,7 @@ array.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,7 @@ RatLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_GRID_CELLS = 1 << 24  # cells of the largest grid built from boxes
 
 
 def as_rat(value: RatLike) -> Fraction:
@@ -358,7 +360,8 @@ def _grid_boxes(grids: list, occ: np.ndarray) -> tuple[AxisBox, ...]:
 
 def _canonicalize(dim: int, boxes: tuple) -> tuple[list, np.ndarray]:
     """The grid of a union of boxes: per axis, the box coordinates with 0
-    and 1 as cuts, and the cells the boxes cover."""
+    and 1 as cuts, and the cells the boxes cover.  A grid of more than
+    ``MAX_GRID_CELLS`` cells is refused before it is allocated."""
     for b in boxes:
         if b.dim != dim:
             raise DimensionMismatchError(f"box of dim {b.dim} in a dim-{dim} set")
@@ -366,6 +369,9 @@ def _canonicalize(dim: int, boxes: tuple) -> tuple[list, np.ndarray]:
         sorted({ZERO, ONE}.union(*((b.lo[i], b.hi[i]) for b in boxes)))
         for i in range(dim)
     ]
+    cells = math.prod(len(g) - 1 for g in grids)
+    if cells > MAX_GRID_CELLS:
+        raise DomainError(f"the boxes span a grid of {cells} cells, above {MAX_GRID_CELLS}")
     return grids, _fill(grids, boxes)
 
 

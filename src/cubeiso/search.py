@@ -1,9 +1,14 @@
-"""Exhaustive lattice search: the independent verification oracle.
+"""Exact lattice minima: the independent verification oracle.
 
 Monotone voxel sets (integer partitions in 2D, plane partitions in 3D) are
 exactly the symmetrization fixed points on the grid, so discrete minima over
 them equal minima over all voxel sets.  Perimeters come from closed-form
 face counts on the height encoding; everything is exact integer arithmetic.
+
+The minima and all their argmin shapes come from a row-transfer DP
+(:func:`brute_sweep`), because the face count splits into a sum over rows.
+:func:`enumerate_monotone` lists every shape and is kept as the reference
+the DP is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .geometry import VoxelSet, _all_subsets, _face_counts
 __all__ = [
     "MonotoneShape",
     "enumerate_monotone",
-    "monotone_prefixes",
     "count_monotone",
     "box_count",
     "BruteResult",
@@ -96,55 +100,39 @@ def _partitions_in_box(cols: int, maxh: int, bound: Optional[tuple] = None):
     yield from rec(0, maxh, ())
 
 
-def enumerate_monotone(
-    dim: int, res: int, prefix=None
-) -> Iterator[MonotoneShape]:
+def _check_cap(dim: int, res: int) -> None:
+    """Raise unless the m^n box is small enough to search exhaustively."""
+    if dim == 2 and res > MAX_EXHAUSTIVE_2D:
+        raise ResolutionCapError(
+            f"2D exhaustive enumeration is capped at m={MAX_EXHAUSTIVE_2D}"
+        )
+    if dim == 3 and res > MAX_EXHAUSTIVE_3D:
+        raise ResolutionCapError(
+            f"3D exhaustive enumeration is capped at m={MAX_EXHAUSTIVE_3D}"
+        )
+    if dim not in (2, 3):
+        raise DomainError("monotone enumeration supports dimensions 2 and 3")
+
+
+def enumerate_monotone(dim: int, res: int) -> Iterator[MonotoneShape]:
     """Every monotone shape in the m^n box exactly once, in a fixed order.
 
-    ``prefix`` restricts the stream to shapes with the given first column
-    height (2D) or first row partition (3D); the streams over all prefixes
-    partition the full enumeration, which is how parallel consumers split
-    the work.
+    The reference that :func:`brute_sweep` is tested against.
     """
+    _check_cap(dim, res)
     if dim == 2:
-        if res > MAX_EXHAUSTIVE_2D:
-            raise ResolutionCapError(
-                f"2D exhaustive enumeration is capped at m={MAX_EXHAUSTIVE_2D}"
-            )
         for h in _partitions_in_box(res, res):
-            if prefix is not None and h[0] != prefix:
-                continue
             yield MonotoneShape(2, res, h)
         return
-    if dim == 3:
-        if res > MAX_EXHAUSTIVE_3D:
-            raise ResolutionCapError(
-                f"3D exhaustive enumeration is capped at m={MAX_EXHAUSTIVE_3D}"
-            )
 
-        def rec(i: int, prev: tuple, acc: tuple):
-            if i == res:
-                yield MonotoneShape(3, res, acc)
-                return
-            for row in _partitions_in_box(res, res, bound=prev):
-                yield from rec(i + 1, row, acc + (row,))
+    def rec(i: int, prev: tuple, acc: tuple):
+        if i == res:
+            yield MonotoneShape(3, res, acc)
+            return
+        for row in _partitions_in_box(res, res, bound=prev):
+            yield from rec(i + 1, row, acc + (row,))
 
-        if prefix is not None:
-            prefix = tuple(prefix)
-            yield from rec(1, prefix, (prefix,))
-        else:
-            yield from rec(0, (res,) * res, ())
-        return
-    raise DomainError("monotone enumeration supports dimensions 2 and 3")
-
-
-def monotone_prefixes(dim: int, res: int) -> list:
-    """The prefix values accepted by :func:`enumerate_monotone`."""
-    if dim == 2:
-        return list(range(res, -1, -1))
-    if dim == 3:
-        return list(_partitions_in_box(res, res))
-    raise DomainError("monotone enumeration supports dimensions 2 and 3")
+    yield from rec(0, (res,) * res, ())
 
 
 def count_monotone(dim: int, res: int) -> int:
@@ -189,63 +177,57 @@ def _dedup_orbits(shapes: list[MonotoneShape]) -> tuple[VoxelSet, ...]:
     return tuple(reps[k] for k in sorted(reps))
 
 
-def _sweep_stream(shapes) -> dict:
-    best: dict[int, tuple[int, list]] = {}
-    for s in shapes:
-        k = s.cell_count()
-        f = s.face_count()
-        cur = best.get(k)
-        if cur is None or f < cur[0]:
-            best[k] = (f, [s])
-        elif f == cur[0]:
-            cur[1].append(s)
-    return best
-
-
-def _merge_sweeps(parts) -> dict:
-    """Associative (min, argmin-set) merge; independent of partitioning."""
-    best: dict[int, tuple[int, list]] = {}
-    for part in parts:
-        for k, (f, shapes) in part.items():
-            cur = best.get(k)
-            if cur is None or f < cur[0]:
-                best[k] = (f, list(shapes))
-            elif f == cur[0]:
-                cur[1].extend(shapes)
-    return best
+def _keep_min(best: dict, key, faces: int, shapes) -> None:
+    """Record ``shapes`` under ``key`` if ``faces`` ties or beats the best."""
+    cur = best.get(key)
+    if cur is None or faces < cur[0]:
+        best[key] = (faces, list(shapes))
+    elif faces == cur[0]:
+        cur[1].extend(shapes)
 
 
 @lru_cache(maxsize=8)
 def brute_sweep(dim: int, res: int) -> dict:
-    """Per-cell-count minima over all monotone shapes, computed in one
-    enumeration pass: ``{k: (min faces, shapes attaining it)}``."""
-    return _sweep_stream(enumerate_monotone(dim, res))
+    """Per-cell-count minima over all monotone shapes:
+    ``{k: (min faces, shapes attaining it)}``.
+
+    A row-transfer DP.  A shape is a sequence of rows, each pointwise below
+    the one before: the column heights in 2D, the rows of the plane partition
+    in 3D.  Its face count is ``|row_0| - |row_last|`` plus a cost per row
+    (see :meth:`MonotoneShape.face_count`), so a state (last row, cells so
+    far) needs only its cheapest prefixes, all of which are kept.
+    """
+    _check_cap(dim, res)
+    m = res
+    rows = list(_partitions_in_box(m, m)) if dim == 3 else [(v,) for v in range(m, -1, -1)]
+    size = {r: sum(r) for r in rows}
+    cost = {r: r[0] - r[-1] + sum(0 < v < m for v in r) for r in rows}
+    below = {r: [s for s in rows if all(b <= a for a, b in zip(r, s))] for r in rows}
+    states = {(r, size[r]): (cost[r] + size[r], [(r,)]) for r in rows}
+    for _ in range(m - 1):
+        after: dict = {}
+        for (r, k), (f, prefixes) in states.items():
+            for s in below[r]:
+                _keep_min(after, (s, k + size[s]), f + cost[s], (p + (s,) for p in prefixes))
+        states = after
+    best: dict = {}
+    for (r, k), (f, prefixes) in states.items():
+        _keep_min(best, k, f - size[r], prefixes)
+
+    def shape(p: tuple) -> MonotoneShape:
+        return MonotoneShape(dim, m, p if dim == 3 else tuple(v for (v,) in p))
+
+    return {k: (f, [shape(p) for p in ps]) for k, (f, ps) in sorted(best.items())}
 
 
-def _sweep_prefix(task) -> dict:
-    dim, res, prefix = task
-    return _sweep_stream(enumerate_monotone(dim, res, prefix=prefix))
-
-
-def brute_sweep_parallel(dim: int, res: int, jobs: int) -> dict:
-    """The same sweep split over first-column prefixes across processes;
-    the merge is associative, so the result matches the serial sweep."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [(dim, res, p) for p in monotone_prefixes(dim, res)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_sweep_prefix, tasks))
-    return _merge_sweeps(parts)
-
-
-def brute_min(dim: int, res: int, cells: int, sweep: Optional[dict] = None) -> BruteResult:
+def brute_min(dim: int, res: int, cells: int) -> BruteResult:
     """Exact minimum of relative perimeter over monotone shapes with the
     given cell count; minimizers are deduplicated up to cube isometry."""
     if not 0 <= cells <= res**dim / 2:
         raise DomainError(
             "cell count must lie in [0, m^n / 2]; complement the rest"
         )
-    faces, shapes = (sweep if sweep is not None else brute_sweep(dim, res))[cells]
+    faces, shapes = brute_sweep(dim, res)[cells]
     return BruteResult(
         dim,
         res,
@@ -318,10 +300,7 @@ def strip_brute_min(res: int, strip_cells: int, cells: int) -> Fraction:
         raise DomainError("strip width must be between 1 and m-1 columns")
     if not 0 <= cells <= strip_cells * res:
         raise DomainError("cell count exceeds the strip capacity")
-    if res > MAX_EXHAUSTIVE_2D:
-        raise ResolutionCapError(
-            f"2D exhaustive enumeration is capped at m={MAX_EXHAUSTIVE_2D}"
-        )
+    _check_cap(2, res)
     best = None
     for part in _partitions_in_box(strip_cells, res):
         if sum(part) != cells:

@@ -11,10 +11,9 @@ from cubeiso.search import (
     box_count,
     brute_min,
     brute_min_general,
-    brute_sweep_parallel,
+    brute_sweep,
     count_monotone,
     enumerate_monotone,
-    monotone_prefixes,
     strip_brute_min,
 )
 from cubeiso.symmetrize import is_symmetrized
@@ -27,18 +26,31 @@ class TestEnumeration:
         assert count_monotone(3, 3) == 980 == box_count(3, 3, 3)
 
     def test_m4_count(self):
-        assert count_monotone(3, 4) == 232_848 == box_count(4, 4, 4)
+        """One pass over each enumeration counts the shapes and collects the
+        minima that the row-transfer DP of ``brute_sweep`` must reproduce:
+        the face counts and the exact argmin shape sets."""
+        for dim, top in ((2, 6), (3, 4)):
+            for m in range(1, top + 1):
+                minima, count = {}, 0
+                for s in enumerate_monotone(dim, m):
+                    count += 1
+                    k, f = s.cell_count(), s.face_count()
+                    if k not in minima or f < minima[k][0]:
+                        minima[k] = (f, {s})
+                    elif f == minima[k][0]:
+                        minima[k][1].add(s)
+                if dim == 3:
+                    assert count == box_count(m, m, m)
+                sweep = brute_sweep(dim, m)
+                assert sweep.keys() == minima.keys()
+                for k, (f, shapes) in sweep.items():
+                    assert len(set(shapes)) == len(shapes)
+                    assert (f, set(shapes)) == minima[k], (dim, m, k)
+        assert count == 232_848
 
     def test_no_duplicates_small(self):
         shapes = list(enumerate_monotone(3, 2))
         assert len(set(shapes)) == len(shapes)
-
-    def test_prefix_partition(self):
-        full = list(enumerate_monotone(3, 3))
-        parts = []
-        for p in monotone_prefixes(3, 3):
-            parts.extend(enumerate_monotone(3, 3, prefix=p))
-        assert sorted(map(hash, parts)) == sorted(map(hash, full))
 
     def test_shapes_are_symmetrized(self):
         for s in enumerate_monotone(2, 3):
@@ -106,18 +118,6 @@ class TestBruteMin:
     def test_general_cap(self):
         with pytest.raises(ResolutionCapError):
             brute_min_general(3, 3, 1)
-
-    def test_parallel_sweep_matches_serial(self):
-        from cubeiso.search import brute_sweep
-
-        serial = brute_sweep(3, 3)
-        parallel = brute_sweep_parallel(3, 3, jobs=2)
-        assert set(serial) == set(parallel)
-        for k in serial:
-            assert serial[k][0] == parallel[k][0]
-            assert sorted(map(hash, serial[k][1])) == sorted(
-                map(hash, parallel[k][1])
-            )
 
 
 class TestStrip:

@@ -7,10 +7,17 @@ audit must find such counterexamples and every reported counterexample must
 be genuine.
 """
 
+import numpy as np
 import pytest
 
 from cubeiso.exhaustive import equality_case_audit
-from cubeiso.geometry import VoxelSet, all_isometries, devoxelize
+from cubeiso.geometry import (
+    VoxelSet,
+    _face_counts,
+    _steiner_cells,
+    all_isometries,
+    devoxelize,
+)
 from cubeiso.symmetrize import steiner
 
 
@@ -62,6 +69,20 @@ def test_3d_m3_bit_pipeline_reports_and_stops():
     assert len(out.violations) == 2
     assert out.stopped_early
     assert all(_is_genuine_violation(v) for v in out.violations)
+
+
+def test_3d_m3_stopped_scan_counts_what_it_checked():
+    """A scan that stops early reports the preserved count of the chunks it
+    scanned; the batch kernels of the small audit recount those sets."""
+    out = equality_case_audit(3, 3, limit=4, stop_after=4)
+    assert out.stopped_early and len(out.violations) == 4
+    n = out.checked
+    assert 0 < n < 1 << 27
+    masks = np.arange(n, dtype=np.uint64)[:, None]
+    bits = (masks >> np.arange(27, dtype=np.uint64)) & np.uint64(1)
+    occ = bits.astype(bool).reshape(n, 3, 3, 3)
+    preserved = _face_counts(occ, 3) == _face_counts(_steiner_cells(occ, 3, 2), 3)
+    assert out.perimeter_preserving == int(preserved.sum())
 
 
 def test_resolution_cap():

@@ -26,27 +26,7 @@ class TestEnumeration:
         assert count_monotone(3, 3) == 980 == box_count(3, 3, 3)
 
     def test_m4_count(self):
-        """One pass over each enumeration counts the shapes and collects the
-        minima that the row-transfer DP of ``brute_sweep`` must reproduce:
-        the face counts and the exact argmin shape sets."""
-        for dim, top in ((2, 6), (3, 4)):
-            for m in range(1, top + 1):
-                minima, count = {}, 0
-                for s in enumerate_monotone(dim, m):
-                    count += 1
-                    k, f = s.cell_count(), s.face_count()
-                    if k not in minima or f < minima[k][0]:
-                        minima[k] = (f, {s})
-                    elif f == minima[k][0]:
-                        minima[k][1].add(s)
-                if dim == 3:
-                    assert count == box_count(m, m, m)
-                sweep = brute_sweep(dim, m)
-                assert sweep.keys() == minima.keys()
-                for k, (f, shapes) in sweep.items():
-                    assert len(set(shapes)) == len(shapes)
-                    assert (f, set(shapes)) == minima[k], (dim, m, k)
-        assert count == 232_848
+        assert count_monotone(3, 4) == 232_848 == box_count(4, 4, 4)
 
     def test_no_duplicates_small(self):
         shapes = list(enumerate_monotone(3, 2))
@@ -114,6 +94,32 @@ class TestBruteMin:
                 brute_min(3, 2, k).min_perimeter
                 == brute_min_general(3, 2, k).min_perimeter
             )
+
+    def test_sweep_matches_enumeration(self):
+        """The row-transfer DP of ``brute_sweep`` reproduces the minima
+        collected by one pass over the enumeration: the face counts and the
+        exact argmin shape sets."""
+        for dim, top in ((2, 6), (3, 4)):
+            for m in range(1, top + 1):
+                minima = {}
+                for s in enumerate_monotone(dim, m):
+                    k, f = s.cell_count(), s.face_count()
+                    if k not in minima or f < minima[k][0]:
+                        minima[k] = (f, {s})
+                    elif f == minima[k][0]:
+                        minima[k][1].add(s)
+                sweep = brute_sweep(dim, m)
+                assert sweep.keys() == minima.keys()
+                for k, (f, shapes) in sweep.items():
+                    assert len(set(shapes)) == len(shapes)
+                    assert (f, set(shapes)) == minima[k], (dim, m, k)
+
+    def test_sweep_caps_and_cache(self):
+        with pytest.raises(ResolutionCapError):
+            brute_sweep(2, 7)
+        with pytest.raises(ResolutionCapError):
+            brute_sweep(3, 5)
+        assert brute_sweep(3, 3) is brute_sweep(3, 3)
 
     def test_general_cap(self):
         with pytest.raises(ResolutionCapError):

@@ -501,8 +501,12 @@ class ProfileEntry:
 
 def _root_term(c: int, v: Fraction, n: int, p: int, bits: int) -> Scalar:
     """``c * (v^(1/n))^p``: exact when the root is rational, otherwise an
-    enclosure of the root raised to ``p``."""
-    r = nth_root(v, n, bits)
+    enclosure of width at most 2^-bits.
+
+    The root's enclosure ``[lo, hi]`` lies in [0, 1] and has width at most
+    2^-(bits+3), so ``c * (hi^p - lo^p) <= c * p * (hi - lo) <= 2^-bits``
+    for every ``c * p <= 8``; the profiles use ``c * p`` of 2 and 6."""
+    r = nth_root(v, n, bits + 3)
     if isinstance(r, Fraction):
         return c * r**p
     return Enclosure(c * r.lo**p, c * r.hi**p)

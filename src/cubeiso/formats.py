@@ -83,20 +83,32 @@ def _field(obj: dict, key: str, kind: type, where: str = "", most=None):
     return value
 
 
-def _coords(entry: dict, key: str, where: str) -> tuple:
+def _coords(entry: dict, key: str, where: str, parsed: dict) -> tuple:
+    """The coordinates ``entry[key]``; ``parsed`` maps each coordinate
+    string already read from this file to its value."""
     values = _field(entry, key, list, f"{where}.{key}")
-    return tuple(parse_rat(c, f"{where}.{key}[{i}]") for i, c in enumerate(values))
+    out = []
+    for i, c in enumerate(values):
+        if type(c) is not str:  # numbers are not memoized: True == 1
+            out.append(parse_rat(c, f"{where}.{key}[{i}]"))
+            continue
+        if c not in parsed:
+            parsed[c] = parse_rat(c, f"{where}.{key}[{i}]")
+        out.append(parsed[c])
+    return tuple(out)
 
 
 def set_from_json(text: str) -> CubicalSet:
     obj = _json_object(text, "set")
     dim = _field(obj, "dim", int, most=MAX_DIM)
     boxes = []
+    parsed: dict = {}  # a file spells few distinct coordinates
     for k, entry in enumerate(_field(obj, "boxes", list) if "boxes" in obj else []):
         where = f"boxes[{k}]"
         if type(entry) is not dict:
             raise FormatError(f"field {where!r} must be an object, got {entry!r}")
-        boxes.append(AxisBox(_coords(entry, "lo", where), _coords(entry, "hi", where)))
+        lo = _coords(entry, "lo", where, parsed)
+        boxes.append(AxisBox(lo, _coords(entry, "hi", where, parsed)))
     try:
         return CubicalSet.from_boxes(dim, boxes)
     except DomainError as exc:  # the grid of the boxes is over budget

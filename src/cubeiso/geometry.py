@@ -10,8 +10,11 @@ without such a change.  Two sets are equal as point sets (up to measure
 zero, which the closed sets erase) exactly when their cuts and occupancies
 are equal.  Its canonical boxes, pairwise interior-disjoint closed boxes
 from greedily merging the occupied cells along axis 0, then 1, and so on,
-are a view of the grid for output.  All arithmetic uses
-:class:`fractions.Fraction`; nothing in this module rounds.
+are a view of the grid for output.  Cuts are exact fractions
+(:class:`fractions.Fraction`).  Measures scale the cuts of each axis once to
+integers over their common denominator, sum integer products of cell widths
+(in int64 under a checked overflow bound, else in Python ints) and return
+one ``Fraction``; nothing in this module rounds or uses floats.
 
 Volume is a weighted count of occupied cells and relative perimeter a
 weighted count of the faces between adjacent cells of different occupancy.
@@ -206,7 +209,7 @@ class CubicalSet:
 
     def volume(self) -> Fraction:
         """Weighted count of the occupied cells."""
-        return self._cached("volume", lambda: _weigh(self.occ, _widths(self.grids)))
+        return self._cached("volume", lambda: _volume(self.grids, self.occ))
 
     def relative_perimeter(self) -> Fraction:
         """(n-1)-measure of the boundary away from the cube walls.
@@ -314,10 +317,6 @@ def _reduce(grids, occ) -> tuple[tuple, np.ndarray]:
     return tuple(grids), occ
 
 
-def _widths(grids) -> list[list[Fraction]]:
-    return [[b - a for a, b in zip(g, g[1:])] for g in grids]
-
-
 def _fill(grids: list, boxes: Iterable[AxisBox]) -> np.ndarray:
     """Occupancy array of the grid cells covered by the boxes."""
     index = [{c: k for k, c in enumerate(g)} for g in grids]
@@ -384,25 +383,64 @@ def _combine(x: CubicalSet, y: CubicalSet, op) -> CubicalSet:
     return CubicalSet(grids, occ)
 
 
-def _weigh(counts: np.ndarray, widths: list) -> Fraction:
-    """Sum of ``counts`` over the cells of a grid with these cell widths,
-    each count weighted by its cell's measure."""
-    v = counts
+def _scaled(cuts: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The cuts of one axis as integers over their common denominator (the
+    lcm of the cut denominators): ``(numerators, denominator)``."""
+    den = math.lcm(*(c.denominator for c in cuts))
+    return [c.numerator * (den // c.denominator) for c in cuts], den
+
+
+def _scaled_widths(grids) -> tuple[list[list[int]], list[int]]:
+    """Per axis, the cell widths of a grid as integers over that axis's
+    common denominator, and the denominators."""
+    widths, dens = [], []
+    for g in grids:
+        cuts, den = _scaled(g)
+        widths.append([b - a for a, b in zip(cuts, cuts[1:])])
+        dens.append(den)
+    return widths, dens
+
+
+def _int_array(values, bound: int) -> np.ndarray:
+    """``values`` as an int64 array when no number the caller forms from
+    them reaches ``bound`` < 2^63, else as an array of Python ints."""
+    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
+
+
+def _weigh(values: np.ndarray, widths: list):
+    """Sum over the cells of a grid of the non-negative integer ``values``,
+    each times the product of its cell's integer widths: an int, or a list
+    of them when ``values`` has leading axes ahead of the grid's.
+
+    The widths of an axis sum to its denominator, so no width or partial
+    sum exceeds the largest value (at least 1) times the product of those
+    sums; the sum runs in int64 below 2^63, otherwise in Python ints."""
+    values = np.asarray(values)
+    bound = max(int(values.max(initial=0)), 1) * math.prod(sum(w) for w in widths)
+    v = _int_array(values, bound)
     for w in reversed(widths):
-        v = np.dot(v, np.array(w, dtype=object))  # contract the last axis
-    return v if widths else ONE * int(v)
+        v = np.dot(v, _int_array(w, bound))  # contract the last axis
+    return np.asarray(v).tolist()
+
+
+def _volume(grids: list, occ: np.ndarray) -> Fraction:
+    """Total measure of the occupied cells."""
+    widths, dens = _scaled_widths(grids)
+    return Fraction(_weigh(occ, widths), math.prod(dens))
 
 
 def _face_area(grids: list, occ: np.ndarray) -> Fraction:
     """Total area of the faces between adjacent cells of different
-    occupancy; faces on the cube walls do not count."""
-    widths = _widths(grids)
-    total = ZERO
+    occupancy; faces on the cube walls do not count.  Over the product of
+    the axis denominators, a face across ``axis`` weighs the product of the
+    other axes' integer widths times the denominator of ``axis``."""
+    widths, dens = _scaled_widths(grids)
+    total = 0
     for axis in range(len(grids)):
         cells, succ = _neighbours(occ, axis)
         changes = np.count_nonzero(cells != succ, axis=axis)  # per line
-        total += _weigh(changes, widths[:axis] + widths[axis + 1:])
-    return total
+        total += dens[axis] * _weigh(changes, widths[:axis] + widths[axis + 1:])
+    return Fraction(total, math.prod(dens))
 
 
 # -- occupancy kernels: the trailing ``dim`` axes of ``occ`` hold one set ------

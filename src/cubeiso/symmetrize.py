@@ -11,13 +11,23 @@ axis.
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, InternalCheckError
-from .geometry import ONE, ZERO, CubicalSet, _is_monotone_cells
+from .geometry import (
+    ONE,
+    ZERO,
+    CubicalSet,
+    _int_array,
+    _is_monotone_cells,
+    _neighbours,
+    _scaled,
+    _scaled_widths,
+    _weigh,
+)
 
 __all__ = [
     "steiner",
@@ -30,69 +40,73 @@ __all__ = [
 
 
 class _Profile:
-    """Height function of a set over the grid perpendicular to one axis:
-    ``heights[idx]`` is the column measure of the grid cell.  Never
-    mutated; a set caches one per axis (see :func:`_height_profile`)."""
+    """Height function of a set over the grid perpendicular to one axis.
 
-    __slots__ = ("axis", "grids", "heights")
+    ``heights`` holds the column measure of every base cell as an integer
+    over ``den``, the common denominator of the cuts along ``axis``;
+    ``widths`` and ``dens`` are the base grid's integer cell widths and
+    denominators (see :func:`geometry._scaled_widths`).  Every answer is
+    summed in integers and returned as Fractions.  Never mutated; a set
+    caches one per axis (see :func:`_height_profile`)."""
 
-    def __init__(self, axis, grids, heights):
+    __slots__ = ("axis", "grids", "heights", "den", "widths", "dens")
+
+    def __init__(self, axis, grids, heights: np.ndarray, den: int):
         self.axis = axis
         self.grids = grids  # per base axis: sorted cuts including 0 and 1
-        self.heights = heights  # dict: cell index tuple -> Fraction
+        self.heights = heights  # int64 or Python ints, see _read_profile
+        self.den = den
+        self.widths, self.dens = _scaled_widths(grids)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(g) - 1 for g in self.grids)
+    def weigh(self, counts: np.ndarray) -> Fraction:
+        """Sum of ``counts`` over the base cells, weighted by cell measure."""
+        return Fraction(_weigh(counts, self.widths), math.prod(self.dens))
 
-    def cell_area(self, idx, skip=None) -> Fraction:
-        """Measure of the base cell ``idx``; with ``skip``, of its face
-        across base axis ``skip``."""
-        a = ONE
-        for k, (g, i) in enumerate(zip(self.grids, idx)):
-            if k != skip:
-                a *= g[i + 1] - g[i]
-        return a
-
-    def level_cells(self, s: Fraction) -> list:
-        return [idx for idx, h in self.heights.items() if h == s]
+    def level_cells(self, s: Fraction) -> np.ndarray:
+        """Mask of the base cells whose height is ``s``."""
+        h = s * self.den
+        if h.denominator != 1:
+            return np.zeros(self.heights.shape, dtype=bool)
+        return self.heights == h.numerator
 
     def level_area(self, s: Fraction) -> Fraction:
-        return sum((self.cell_area(i) for i in self.level_cells(s)), ZERO)
+        return self.weigh(self.level_cells(s))
+
+    def _distinct(self) -> set:
+        return set(self.heights.ravel().tolist())
 
     def levels(self) -> list[Fraction]:
-        return sorted({h for h in self.heights.values()})
+        return [Fraction(h, self.den) for h in sorted(self._distinct())]
 
     def interior_levels(self) -> list[Fraction]:
         return [v for v in self.levels() if ZERO < v < ONE]
 
     def volume(self) -> Fraction:
-        return sum((h * self.cell_area(i) for i, h in self.heights.items()), ZERO)
+        return self.weigh(self.heights) / self.den
 
     def to_set(self) -> CubicalSet:
         """The subgraph: each column is the interval [0, height].  Its cuts
         along the axis are the distinct heights with 0 and 1."""
-        cuts = sorted(set(self.heights.values()) | {ZERO, ONE})
-        index = {c: k for k, c in enumerate(cuts)}
-        top = np.array([index[h] for h in self.heights.values()], dtype=np.intp)
-        occ = np.arange(len(cuts) - 1) < top.reshape(self.shape + (1,))
+        tops = sorted(self._distinct() | {0, self.den})
+        # a column covers the cell above cut t exactly when it is higher than t
+        occ = self.heights[..., None] > np.array(tops[:-1], dtype=self.heights.dtype)
+        cuts = [Fraction(t, self.den) for t in tops]
         grids = [*self.grids[: self.axis], cuts, *self.grids[self.axis:]]
         return CubicalSet(grids, np.moveaxis(occ, -1, self.axis))
 
     def relative_perimeter(self) -> Fraction:
-        """Caps plus wall differences; valid for monotone height functions."""
-        total = ZERO
-        for idx, h in self.heights.items():
-            if ZERO < h < ONE:
-                total += self.cell_area(idx)
-            for j in range(len(self.grids)):
-                if idx[j] + 1 > len(self.grids[j]) - 2:
-                    continue  # neighbour would be past the far wall
-                nb = idx[:j] + (idx[j] + 1,) + idx[j + 1:]
-                diff = h - self.heights[nb]
-                if diff != 0:
-                    total += abs(diff) * self.cell_area(idx, j)
-        return total
+        """Caps plus wall differences: over ``den`` times the base
+        denominators, each column strictly between the walls adds its cell
+        measure, and each pair of adjacent columns adds its height
+        difference times the area of the face between them."""
+        h, den = self.heights, self.den
+        caps = (h > 0) & (h < den)
+        total = den * _weigh(caps, self.widths)
+        for j, d in enumerate(self.dens):
+            lower, upper = _neighbours(h, j)
+            rise = abs(upper - lower).sum(axis=j)  # per line along base axis j
+            total += d * _weigh(rise, self.widths[:j] + self.widths[j + 1:])
+        return Fraction(total, den * math.prod(self.dens))
 
 
 def _height_profile(x: CubicalSet, axis: int) -> _Profile:
@@ -102,16 +116,17 @@ def _height_profile(x: CubicalSet, axis: int) -> _Profile:
 
 
 def _read_profile(x: CubicalSet, axis: int) -> _Profile:
-    """Each column's height: the summed widths of its occupied cells."""
-    g = x.grids[axis]
-    widths = [b - a for a, b in zip(g, g[1:])]
+    """Each column's height: the summed integer widths of its occupied
+    cells, over the common denominator of the axis's cuts."""
+    cuts, den = _scaled(x.grids[axis])
     base = x.grids[:axis] + x.grids[axis + 1:]
-    columns = np.moveaxis(x.occ, axis, -1).reshape(-1, len(widths)).tolist()
-    cells = itertools.product(*(range(len(c) - 1) for c in base))
-    heights = {
-        idx: sum(itertools.compress(widths, col), ZERO) for idx, col in zip(cells, columns)
-    }
-    return _Profile(axis, base, heights)
+    # no height, difference of heights or sum of the differences along a
+    # line of the base grid exceeds den times the longest axis of cells
+    bound = den * max(x.occ.shape)
+    widths = _int_array([b - a for a, b in zip(cuts, cuts[1:])], bound)
+    columns = np.moveaxis(x.occ, axis, -1).astype(widths.dtype)
+    heights = np.asarray(np.dot(columns, widths), dtype=widths.dtype)
+    return _Profile(axis, base, heights, den)
 
 
 # -- symmetrization ------------------------------------------------------------

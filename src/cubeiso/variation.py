@@ -16,6 +16,7 @@ every volume and perimeter delta is an exact rational.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,7 +32,7 @@ from .errors import (
     NotSymmetrizedError,
     PreconditionError,
 )
-from .geometry import ONE, ZERO, CubicalSet, _is_monotone_cells, as_rat
+from .geometry import ONE, ZERO, CubicalSet, _is_monotone_cells, _neighbours, _weigh, as_rat
 from .symmetrize import _height_profile, _Profile, is_symmetrized, symmetrize_all
 
 __all__ = [
@@ -62,13 +63,13 @@ def monotone_relative_perimeter(x: CubicalSet) -> Fraction:
     routes are cross-checked in the test suite.
     """
     grids = x.grids[1:]
-    heights = dict.fromkeys(itertools.product(*[range(len(g) - 1) for g in grids]), ZERO)
+    den = math.lcm(*(c.denominator for c in x.grids[0]))
+    heights = np.zeros(tuple(len(g) - 1 for g in grids), dtype=object)
     index = [{c: k for k, c in enumerate(g)} for g in grids]
     for b in x.boxes:
-        spans = [range(ix[a], ix[c]) for ix, a, c in zip(index, b.lo[1:], b.hi[1:])]
-        for idx in itertools.product(*spans):
-            heights[idx] += b.hi[0] - b.lo[0]
-    return _Profile(0, grids, heights).relative_perimeter()
+        spans = tuple(slice(ix[a], ix[c]) for ix, a, c in zip(index, b.lo[1:], b.hi[1:]))
+        heights[spans] += int((b.hi[0] - b.lo[0]) * den)
+    return _Profile(0, grids, heights, den).relative_perimeter()
 
 
 def _require_symmetrized(x: CubicalSet, assume: bool):
@@ -129,35 +130,39 @@ def singular_points(x: CubicalSet, axis: int) -> list[Fraction]:
 
 
 def _slice_from_profile(prof: _Profile, s: Fraction) -> SliceData:
-    cells = prof.level_cells(s)
-    if not cells or not (ZERO < s < ONE):
+    """The level set of ``prof`` at ``s`` and its boundary, read from
+    neighbour masks: across each base axis, a region cell on a cube wall
+    adds its face to ``cube_measure``, and a region cell next to a higher
+    (lower) column adds it to ``inner_measure`` (``outer_measure``)."""
+    region = prof.level_cells(s)
+    if not (ZERO < s < ONE) or not region.any():
         raise NonSingularError(
             f"{s} is not an interior singular point along axis {prof.axis}"
         )
-    cellset = set(cells)
-    area = sum((prof.cell_area(i) for i in cells), ZERO)
-    outer = cube = inner = ZERO
-    nbase = len(prof.grids)
-    for idx in cells:
-        for j in range(nbase):
-            edge = prof.cell_area(idx, j)
-            for step in (-1, 1):
-                nj = idx[j] + step
-                if nj < 0 or nj > len(prof.grids[j]) - 2:
-                    cube += edge  # flush against a cube wall
-                    continue
-                nb = idx[:j] + (nj,) + idx[j + 1:]
-                if nb in cellset:
-                    continue  # interior to the region
-                if prof.heights[nb] > s:
-                    inner += edge
-                else:
-                    outer += edge
-    occ = np.zeros(prof.shape, dtype=bool)
-    for idx in cells:
-        occ[idx] = True
-    region = CubicalSet(prof.grids, occ)
-    return SliceData(prof.axis, s, region, area, outer, cube, inner)
+    level = (s * prof.den).numerator
+    below, above = prof.heights < level, prof.heights > level
+    measures = [0, 0, 0]  # outer, cube, inner over the product of the base denominators
+    for j, d in enumerate(prof.dens):
+        counts = np.stack([  # per line along base axis j
+            _facing(region, below, j),
+            np.take(region, [0, -1], axis=j).sum(axis=j),
+            _facing(region, above, j),
+        ])
+        face = prof.widths[:j] + prof.widths[j + 1:]
+        for k, total in enumerate(_weigh(counts, face)):
+            measures[k] += d * total
+    den = math.prod(prof.dens)
+    outer, cube, inner = (Fraction(m, den) for m in measures)
+    region_set = CubicalSet(prof.grids, region)
+    return SliceData(prof.axis, s, region_set, prof.weigh(region), outer, cube, inner)
+
+
+def _facing(region: np.ndarray, side: np.ndarray, axis: int) -> np.ndarray:
+    """Per line along ``axis``, the faces between a ``region`` cell and a
+    ``side`` cell next to it."""
+    cells, succ = _neighbours(region, axis)
+    low, high = _neighbours(side, axis)
+    return ((cells & high) | (succ & low)).sum(axis=axis)
 
 
 def slice_data(
@@ -195,7 +200,7 @@ def event_horizon(
     if isinstance(direction, str):
         direction = {"up": 1, "above": 1, "down": -1, "below": -1}[direction]
     prof = _height_profile(x, axis)
-    if not prof.level_cells(s) or not (ZERO < s < ONE):
+    if not (ZERO < s < ONE) or not prof.level_cells(s).any():
         raise NonSingularError(f"{s} is not an interior singular point")
     return _horizon(prof, s, direction)
 
@@ -213,7 +218,7 @@ def translate_slice(
     if d == 0:
         return x
     prof = _height_profile(x, axis)
-    if not prof.level_cells(s) or not (ZERO < s < ONE):
+    if not (ZERO < s < ONE) or not prof.level_cells(s).any():
         raise NonSingularError(f"{s} is not an interior singular point")
     horizon = _horizon(prof, s, 1 if d > 0 else -1)
     if abs(d) >= horizon.distance:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cubeiso.geometry import CubeIsometry, CubicalSet, VoxelSet, box, devoxelize
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 4099, 8191]
+# products of primes, and primes just below 2^61 and 2^64, in that order
+BIG_DENOMINATORS = [4099 * 8191, 8191 * 16381, 2**61 - 1, 2**64 - 59, (2**61 - 1) * (2**31 - 1)]
 
 
 @st.composite
@@ -22,7 +24,24 @@ def grid_or_rational_sets(draw, dim=None):
         m = draw(st.integers(2, 5))
         cells = draw(st.lists(st.booleans(), min_size=m**dim, max_size=m**dim))
         return devoxelize(VoxelSet(m, np.array(cells).reshape((m,) * dim)))
-    dens = [draw(st.sampled_from(PRIMES)) for _ in range(dim)]
+    return _box_union(draw, [draw(st.sampled_from(PRIMES)) for _ in range(dim)])
+
+
+@st.composite
+def big_denominator_sets(draw, dim=None):
+    """A union of 1-6 boxes whose coordinates on each axis have a
+    denominator of 2^25 to 2^92, at least 2^63 on axis 0, in dimension
+    ``dim`` (1-3 when not given)."""
+    if dim is None:
+        dim = draw(st.integers(1, 3))
+    dens = [draw(st.sampled_from(BIG_DENOMINATORS[-2:]))]
+    dens += [draw(st.sampled_from(BIG_DENOMINATORS)) for _ in range(dim - 1)]
+    return _box_union(draw, dens)
+
+
+def _box_union(draw, dens):
+    """A union of 1-6 random boxes with coordinates k/p, p = ``dens[i]``
+    on axis ``i``."""
     boxes = []
     for _ in range(draw(st.integers(1, 6))):
         lo, hi = [], []
@@ -32,7 +51,7 @@ def grid_or_rational_sets(draw, dim=None):
             lo.append(F(a, p))
             hi.append(F(b, p))
         boxes.append(box(lo, hi))
-    return CubicalSet.from_boxes(dim, boxes)
+    return CubicalSet.from_boxes(len(dens), boxes)
 
 
 @st.composite

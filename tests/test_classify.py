@@ -241,6 +241,41 @@ class TestProfile:
         assert profile2d(F(3, 10)).value == 1
         assert profile2d(F(3, 10)).kinds == frozenset({"strip"})
 
+    # (volume, kind of the 3-cube profile, kind of the planar profile) on
+    # every branch; 1/50 and 1/8 give irrational values in both profiles and
+    # 1/27 in the planar one, carried as enclosures
+    BRANCHES = (
+        (F(1, 50), "cube", "square"),  # 3 V^(2/3) and 2 V^(1/2)
+        (F(1, 27), "cube", "square"),  # exact cube root; 2 V^(1/2) irrational
+        (F(1, 8), "tube", "square"),  # 2 V^(1/2)
+        (F(9, 64), "tube", "square"),  # exact square root
+        (F(3, 10), "slab", "strip"),  # the constant 1
+    )
+
+    @pytest.mark.parametrize("bits", range(71))
+    def test_enclosure_width_is_at_most_2_to_minus_bits(self, bits):
+        def check(value, power, target):
+            """``value`` encloses ``target^(1/power)``, at most 2^-bits wide."""
+            lo, hi = (value.lo, value.hi) if isinstance(value, Enclosure) else (value, value)
+            assert 0 <= lo and lo**power <= target <= hi**power
+            assert hi - lo <= F(1, 2**bits)
+
+        for v, kind, kind2d in self.BRANCHES:
+            e = profile(v, bits=bits)
+            assert kind in e.kinds
+            if kind == "cube":
+                check(e.value, 3, 27 * v * v)  # (3 V^(2/3))^3 = 27 V^2
+            elif kind == "tube":
+                check(e.value, 2, 4 * v)  # (2 V^(1/2))^2 = 4 V
+            else:
+                assert e.value == 1
+            e = profile2d(v, bits=bits)
+            assert kind2d in e.kinds
+            if kind2d == "square":
+                check(e.value, 2, 4 * v)
+            else:
+                assert e.value == 1
+
     def test_strip_branches(self):
         v, kinds = strip_profile2d(HALF, F(1, 8))
         assert kinds == frozenset({"square"})

@@ -1,5 +1,6 @@
 """Serialization round trips, OBJ export, and the CLI surface."""
 
+import itertools
 import json
 import re
 import subprocess
@@ -13,6 +14,7 @@ from cubeiso.errors import DomainError, FormatError, RationalParseError
 from cubeiso.formats import (
     MAX_VOXEL_CELLS,
     export_obj,
+    load_set,
     parse_rat,
     set_from_json,
     set_to_json,
@@ -225,6 +227,36 @@ class TestCli:
         out = run_cli("classify", str(inp))
         assert out.returncode == 2
         assert field in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_equal_spellings_of_a_coordinate_load_equal(self, tmp_path):
+        halves = ("1/2", "2/4", "3/6")
+        boxes = [
+            {"lo": [a, "0", b], "hi": ["1", c, "1"]}
+            for a, b, c in itertools.permutations(halves)
+        ]
+        spelled = tmp_path / "spelled.json"
+        spelled.write_text(json.dumps({"dim": 3, "boxes": boxes}))
+        x = cs(3, [((HALF, 0, HALF), (1, HALF, 1))])
+        assert load_set(str(spelled)) == x
+        plain = tmp_path / "plain.json"
+        plain.write_text(set_to_json(x))
+        out = run_cli("classify", str(spelled))
+        assert out.returncode == 0
+        assert out.stdout == run_cli("classify", str(plain)).stdout
+
+    def test_first_bad_coordinate_after_repeats_is_named(self, tmp_path):
+        good = {"lo": ["0", "1/3", "0"], "hi": ["1/3", "2/3", "1/3"]}
+        boxes = [good] * 300 + [
+            {"lo": ["0", "1/3", "1/x"], "hi": ["1/3", "2/3", "1/3"]},
+            {"lo": ["1/x", "1/3", "0"], "hi": ["1/3", "2/3", "1/3"]},
+        ]
+        inp = tmp_path / "bad.json"
+        inp.write_text(json.dumps({"dim": 3, "boxes": boxes}))
+        out = run_cli("classify", str(inp))
+        assert out.returncode == 2
+        assert "'boxes[300].lo[2]'" in out.stderr
+        assert "boxes[301]" not in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_usage_mistakes_exit_1(self):

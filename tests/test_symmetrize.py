@@ -53,10 +53,12 @@ def test_column_profiles_sum_to_volume():
     x = cs(2, [((0, 0), (HALF, 1)), ((0, 0), (1, HALF))])
     for axis in range(2):
         prof = _height_profile(x, axis)
-        total = sum(h * prof.cell_area(idx) for idx, h in prof.heights.items())
+        (base,) = prof.grids  # the column heights over den, times cell widths
+        heights = [F(int(h), prof.den) for h in prof.heights]
+        total = sum(h * (b - a) for h, a, b in zip(heights, base, base[1:]))
         assert total == prof.volume() == x.volume()
         assert prof.to_set() == steiner(x, axis)
-        assert sorted(prof.heights.values()) == [HALF, 1]
+        assert sorted(heights) == [HALF, 1]
 
 
 def test_properties_on_random_voxel_sets():

@@ -43,6 +43,11 @@ from .variation import (
 )
 
 DEFAULT_SEED = 20260809
+# random inputs drawn by criteria 5, 6, 7 and 10
+PROPERTY_SETS = 10_000
+VARIATION_SETS = 1000
+REDUCTION_SETS = 1000
+FACE_PIECES = 1000
 
 F = Fraction
 HALF = F(1, 2)
@@ -204,12 +209,12 @@ def criterion_4(seed=DEFAULT_SEED) -> CriterionResult:
 # -- 5: symmetrization property suite --------------------------------------------
 
 
-def criterion_5(seed=DEFAULT_SEED, n_sets=10_000) -> CriterionResult:
+def criterion_5(seed=DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(seed + 5)
     cross_checked = 0
-    for trial in range(n_sets):
+    for trial in range(PROPERTY_SETS):
         dim = 2 if trial % 2 == 0 else 3
         m = int(rng.integers(2, 9 if dim == 2 else 7))
         v = random_voxel(rng, dim, m)
@@ -232,7 +237,7 @@ def criterion_5(seed=DEFAULT_SEED, n_sets=10_000) -> CriterionResult:
                 z = syms[i].steiner(j)
                 if z.steiner(i) != z:
                     failures.append(f"trial {trial}: stability broke ({i},{j})")
-        if trial % (n_sets // 100) == 0 and m <= 5:
+        if trial % (PROPERTY_SETS // 100) == 0 and m <= 5:
             x = devoxelize(v)
             for axis in range(dim):
                 exact = steiner(x, axis)
@@ -257,7 +262,7 @@ def criterion_5(seed=DEFAULT_SEED, n_sets=10_000) -> CriterionResult:
         "symmetrization property suite",
         start,
         failures,
-        f"{n_sets} random sets: exact volume, monotone perimeter, idempotence, "
+        f"{PROPERTY_SETS} random sets: exact volume, monotone perimeter, idempotence, "
         f"stability; {cross_checked} cross-checked against the exact kernel; "
         "exhaustive equality-case audit clean",
     )
@@ -266,12 +271,12 @@ def criterion_5(seed=DEFAULT_SEED, n_sets=10_000) -> CriterionResult:
 # -- 6: first-variation exactness -------------------------------------------------
 
 
-def criterion_6(seed=DEFAULT_SEED, n_sets=1000) -> CriterionResult:
+def criterion_6(seed=DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(seed + 6)
     slices_checked = 0
-    for trial in range(n_sets):
+    for trial in range(VARIATION_SETS):
         dim = 2 if trial % 2 == 0 else 3
         m = int(rng.integers(3, 6))
         x = random_monotone_set(rng, dim, m)
@@ -279,15 +284,10 @@ def criterion_6(seed=DEFAULT_SEED, n_sets=1000) -> CriterionResult:
         base_per = monotone_relative_perimeter(x)
         for axis in range(dim):
             for s in singular_points(x, axis):
-                d = slice_data(x, axis, s, assume_symmetrized=True)
+                d = slice_data(x, axis, s)
                 for sign in (1, -1):
-                    hz = event_horizon(
-                        x, axis, s, sign, assume_symmetrized=True
-                    )
-                    step = sign * hz.distance / 2
-                    y = translate_slice(
-                        x, axis, s, step, assume_symmetrized=True
-                    )
+                    step = sign * event_horizon(x, axis, s, sign).distance / 2
+                    y = translate_slice(x, axis, s, step)
                     if y.volume() - base_vol != d.area * step:
                         failures.append(
                             f"trial {trial}: volume law broke at ({axis},{s})"
@@ -307,7 +307,7 @@ def criterion_6(seed=DEFAULT_SEED, n_sets=1000) -> CriterionResult:
         "first-variation exactness",
         start,
         failures,
-        f"{n_sets} symmetrized sets, {slices_checked} slice translations: "
+        f"{VARIATION_SETS} symmetrized sets, {slices_checked} slice translations: "
         "dVol = area*d and dRelPer = signed_measure*d exactly",
     )
 
@@ -315,12 +315,12 @@ def criterion_6(seed=DEFAULT_SEED, n_sets=1000) -> CriterionResult:
 # -- 7: reduction soundness ---------------------------------------------------------
 
 
-def criterion_7(seed=DEFAULT_SEED, n_sets=1000) -> CriterionResult:
+def criterion_7(seed=DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(seed + 7)
     total_steps = 0
-    for trial in range(n_sets):
+    for trial in range(REDUCTION_SETS):
         m = int(rng.integers(2, 6))
         x = random_monotone_set(rng, 3, m, max_cells=m**3 // 2)
         try:
@@ -342,7 +342,7 @@ def criterion_7(seed=DEFAULT_SEED, n_sets=1000) -> CriterionResult:
         "reduction soundness",
         start,
         failures,
-        f"{n_sets} monotone sets reduced: special outputs, exact volume, "
+        f"{REDUCTION_SETS} monotone sets reduced: special outputs, exact volume, "
         f"perimeter never up; {total_steps} merge/improve steps",
     )
 
@@ -486,11 +486,11 @@ def criterion_9(seed=DEFAULT_SEED) -> CriterionResult:
 # -- 10: uniqueness audits --------------------------------------------------------------
 
 
-def criterion_10(seed=DEFAULT_SEED, n_audits=1000) -> CriterionResult:
+def criterion_10(seed=DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(seed + 10)
-    for trial in range(n_audits):
+    for trial in range(FACE_PIECES):
         kind = "cube" if trial % 2 == 0 else "tube"
         a = F(int(rng.integers(1, 33)), 64)  # a in (0, 1/2]
         res = int(rng.integers(2, 5))
@@ -511,7 +511,7 @@ def criterion_10(seed=DEFAULT_SEED, n_audits=1000) -> CriterionResult:
         "uniqueness ratio audits",
         start,
         failures,
-        f"{n_audits} proper face pieces: cube ratio > 2/a and tube ratio > 1/a, "
+        f"{FACE_PIECES} proper face pieces: cube ratio > 2/a and tube ratio > 1/a, "
         "certified",
     )
 

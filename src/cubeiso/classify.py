@@ -13,7 +13,7 @@ integer power comparisons decide them even when the values are irrational.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -364,7 +364,7 @@ def _rational_near(target_low: Fraction, target_high: Fraction) -> Fraction:
     return (lo + hi) / 2
 
 
-def _near_root(x: Fraction, n: int, bits: int = 32) -> Fraction:
+def _near_root(x: Fraction, n: int, bits: int) -> Fraction:
     """A rational close to x**(1/n) (exact when the root is rational)."""
     r = nth_root(x, n, bits)
     if isinstance(r, Enclosure):
@@ -430,12 +430,7 @@ def _improvement_competitor(x: CubicalSet) -> CubicalSet:
         raise InternalCheckError("improvement requested for a stationary set")
     lo = min(report.slices, key=lambda d: (d.first_var, d.axis, d.position))
     hi = max(report.slices, key=lambda d: (d.first_var, -d.axis, -d.position))
-    return improve_step(
-        x,
-        (lo.position, lo.axis),
-        (hi.position, hi.axis),
-        assume_symmetrized=True,
-    )
+    return improve_step(x, (lo.position, lo.axis), (hi.position, hi.axis))
 
 
 def competitor(family: str, params) -> CompetitorCertificate:
@@ -682,7 +677,7 @@ def classify_special(x: CubicalSet) -> ClassificationResult:
     if not is_special(x):
         raise NotSpecialError("classify_special requires a special set")
     fam = special_family(x)
-    stat = check_stationarity(x, assume_symmetrized=True)
+    stat = check_stationarity(x)
     entry = profile(v)
     kind = {"box": "cube", "tube": "tube", "slab": "slab"}.get(fam.tag)
     if fam.tag == "tripod" and len(set(fam.params)) == 1:
@@ -730,13 +725,4 @@ def classify(x: CubicalSet) -> ClassificationResult:
         y, _ = reduce_to_special(y)
         notes.append("input reduced to a special set first")
     res = classify_special(y)
-    return ClassificationResult(
-        res.verdict,
-        res.volume,
-        res.kinds,
-        res.family,
-        res.stationarity,
-        res.competitor,
-        via_complement,
-        tuple(notes) + res.notes,
-    )
+    return replace(res, via_complement=via_complement, notes=tuple(notes) + res.notes)

@@ -9,9 +9,11 @@ human-readable reports add 12-digit decimal enclosures.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -358,7 +360,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush at
+        # exit raises nothing; a StringIO stdout has no descriptor.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (RationalParseError, _UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -16,6 +16,7 @@ from typing import Callable, Sequence, Union
 from .errors import DomainError
 
 DEFAULT_BITS = 64
+DECIMAL_DIGITS = 12  # fractional digits of format_decimal
 
 
 @dataclass(frozen=True)
@@ -149,15 +150,15 @@ def cmp_power(c: Fraction, x: Fraction, p: int, q: int, r: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def format_decimal(q: Fraction, digits: int = 12, rounding: str = "nearest") -> str:
-    """Fixed-point decimal with ``digits`` fractional digits.
+def format_decimal(q: Fraction, rounding: str = "nearest") -> str:
+    """Fixed-point decimal with ``DECIMAL_DIGITS`` fractional digits.
 
     ``rounding`` is "nearest" (ties to even), "floor", or "ceil"; the
     directed modes keep printed enclosure endpoints genuinely enclosing.
     """
     if rounding not in ("nearest", "floor", "ceil"):
         raise DomainError(f"unknown rounding mode {rounding!r}")
-    scaled = q * 10**digits
+    scaled = q * 10**DECIMAL_DIGITS
     n = scaled.numerator
     d = scaled.denominator
     neg = n < 0
@@ -169,5 +170,5 @@ def format_decimal(q: Fraction, digits: int = 12, rounding: str = "nearest") -> 
         elif (rounding == "ceil") != neg:
             whole += 1  # directed away from the truncated magnitude
     sign = "-" if neg and whole else ""
-    text = str(whole).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    text = str(whole).rjust(DECIMAL_DIGITS + 1, "0")
+    return f"{sign}{text[:-DECIMAL_DIGITS]}.{text[-DECIMAL_DIGITS:]}"

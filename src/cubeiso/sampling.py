@@ -16,8 +16,9 @@ __all__ = [
 ]
 
 
-def random_voxel(rng: np.random.Generator, dim: int, res: int, density=0.5) -> VoxelSet:
-    return VoxelSet(res, rng.random((res,) * dim) < density)
+def random_voxel(rng: np.random.Generator, dim: int, res: int) -> VoxelSet:
+    """Each cell occupied with probability 1/2."""
+    return VoxelSet(res, rng.random((res,) * dim) < 0.5)
 
 
 def _monotone_heights(rng: np.random.Generator, dim: int, res: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -167,10 +167,11 @@ class BruteResult:
         return Fraction(self.cells, self.res**self.dim)
 
 
-def _dedup_orbits(shapes: list[MonotoneShape]) -> tuple[VoxelSet, ...]:
+def _dedup_orbits(sets: Iterable[VoxelSet]) -> tuple[VoxelSet, ...]:
+    """One representative per cube-isometry orbit, the set of smallest
+    occupancy bytes, in order of those bytes."""
     reps: dict[bytes, VoxelSet] = {}
-    for s in shapes:
-        v = s.to_voxel()
+    for v in sets:
         key = v.orbit_key()
         if key not in reps:
             reps[key] = VoxelSet(v.res, np.frombuffer(key, dtype=bool).reshape(v.cells.shape))
@@ -233,7 +234,7 @@ def brute_min(dim: int, res: int, cells: int) -> BruteResult:
         res,
         cells,
         Fraction(faces, res ** (dim - 1)),
-        _dedup_orbits(shapes),
+        _dedup_orbits(s.to_voxel() for s in shapes),
     )
 
 
@@ -274,22 +275,16 @@ def brute_min_general(dim: int, res: int, cells: int) -> BruteResult:
             "cell count must lie in [0, m^n / 2]; complement the rest"
         )
     faces, masks = _general_sweep(dim, res)[cells]
-    reps: dict[bytes, VoxelSet] = {}
-    n_cells = res**dim
-    for mask in masks:
-        flat = [i for i in range(n_cells) if mask >> i & 1]
-        v = VoxelSet.from_indices(dim, res, flat)
-        key = v.orbit_key()
-        if key not in reps:
-            reps[key] = VoxelSet(
-                res, np.frombuffer(key, dtype=bool).reshape(v.cells.shape)
-            )
+    sets = (
+        VoxelSet.from_indices(dim, res, [i for i in range(res**dim) if mask >> i & 1])
+        for mask in masks
+    )
     return BruteResult(
         dim,
         res,
         cells,
         Fraction(faces, res ** (dim - 1)),
-        tuple(reps[k] for k in sorted(reps)),
+        _dedup_orbits(sets),
     )
 
 

@@ -141,8 +141,9 @@ def steiner(x: CubicalSet, axis: int) -> CubicalSet:
 
 def is_symmetrized(x: CubicalSet) -> bool:
     """True when ``x`` is a fixed point of every axis symmetrization, that
-    is, when its occupancy grid never increases along any axis."""
-    return _is_monotone_cells(x.occ, x.dim)
+    is, when its occupancy grid never increases along any axis.  Read once
+    per set and cached on it, like its height profiles."""
+    return x._cached("is_symmetrized", lambda: _is_monotone_cells(x.occ, x.dim))
 
 
 def symmetrize_all(x: CubicalSet) -> CubicalSet:

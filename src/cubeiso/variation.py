@@ -11,6 +11,11 @@ count +1, wall-shrinking parts -1, parts on the cube boundary 0).
 All motions are event-driven: a slice moves exactly to the nearest
 structural event (another level of the height function, or a cube wall), so
 every volume and perimeter delta is an exact rational.
+
+Every public entry point checks that its set is symmetrized and raises
+:class:`NotSymmetrizedError` otherwise; the answer of
+:func:`~cubeiso.symmetrize.is_symmetrized` is cached on the set, so each set
+is checked once however many steps read it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import (
     NotSymmetrizedError,
     PreconditionError,
 )
-from .geometry import ONE, ZERO, CubicalSet, _is_monotone_cells, _neighbours, _weigh, as_rat
+from .geometry import ONE, ZERO, CubicalSet, _neighbours, _weigh, as_rat
 from .symmetrize import _height_profile, _Profile, is_symmetrized, symmetrize_all
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+_CAP_PER_SLICE = 16  # reduction steps allowed per interior singular point and axis
 
 
 def monotone_relative_perimeter(x: CubicalSet) -> Fraction:
@@ -72,8 +78,8 @@ def monotone_relative_perimeter(x: CubicalSet) -> Fraction:
     return _Profile(0, grids, heights, den).relative_perimeter()
 
 
-def _require_symmetrized(x: CubicalSet, assume: bool):
-    if not assume and not is_symmetrized(x):
+def _require_symmetrized(x: CubicalSet):
+    if not is_symmetrized(x):
         raise NotSymmetrizedError(
             "operation requires a Steiner-symmetrization fixed point"
         )
@@ -134,11 +140,7 @@ def _slice_from_profile(prof: _Profile, s: Fraction) -> SliceData:
     neighbour masks: across each base axis, a region cell on a cube wall
     adds its face to ``cube_measure``, and a region cell next to a higher
     (lower) column adds it to ``inner_measure`` (``outer_measure``)."""
-    region = prof.level_cells(s)
-    if not (ZERO < s < ONE) or not region.any():
-        raise NonSingularError(
-            f"{s} is not an interior singular point along axis {prof.axis}"
-        )
+    region = _level_region(prof, s)
     level = (s * prof.den).numerator
     below, above = prof.heights < level, prof.heights > level
     measures = [0, 0, 0]  # outer, cube, inner over the product of the base denominators
@@ -165,16 +167,29 @@ def _facing(region: np.ndarray, side: np.ndarray, axis: int) -> np.ndarray:
     return ((cells & high) | (succ & low)).sum(axis=axis)
 
 
-def slice_data(
-    x: CubicalSet, axis: int, s, *, assume_symmetrized: bool = False
-) -> SliceData:
+def _level_region(prof: _Profile, s: Fraction) -> np.ndarray:
+    """Mask of the base cells at height ``s``; raises unless ``s`` is an
+    interior singular point, that is, a level strictly between the walls."""
+    region = prof.level_cells(s)
+    if not (ZERO < s < ONE and region.any()):
+        raise NonSingularError(
+            f"{s} is not an interior singular point along axis {prof.axis}"
+        )
+    return region
+
+
+def slice_data(x: CubicalSet, axis: int, s) -> SliceData:
     """Region, area and signed boundary classification of the singular
-    slice of a symmetrized set at position ``s`` along ``axis``."""
-    _require_symmetrized(x, assume_symmetrized)
+    slice of a symmetrized set at position ``s`` along ``axis``; raises
+    :class:`NotSymmetrizedError` on any other set."""
+    _require_symmetrized(x)
     return _slice_from_profile(_height_profile(x, axis), as_rat(s))
 
 
 def _horizon(prof: _Profile, s: Fraction, direction: int) -> VariationEvent:
+    """The nearest event of the singular slice at ``s`` moving up
+    (``direction`` > 0) or down."""
+    _level_region(prof, s)
     values = set(prof.levels()) | {ZERO, ONE}
     if direction > 0:
         nxt = min(v for v in values if v > s)
@@ -185,42 +200,31 @@ def _horizon(prof: _Profile, s: Fraction, direction: int) -> VariationEvent:
     return VariationEvent(kind, s - prev)
 
 
-def event_horizon(
-    x: CubicalSet, axis: int, s, direction, *, assume_symmetrized: bool = False
-) -> VariationEvent:
-    """Exact supremum of event-free motion of one slice.
+def event_horizon(x: CubicalSet, axis: int, s, direction: int) -> VariationEvent:
+    """Exact supremum of event-free motion of one slice of a symmetrized set.
 
-    ``direction`` is +1 (toward the far wall) or -1 (toward the origin);
-    the strings ``"up"``/``"down"`` are also accepted.  Motion ends when the
-    plane reaches another level of the height function
-    (``slice-area-changes``) or a cube wall (``slice-hits-0/1``).
+    ``direction`` is +1 (toward the far wall) or -1 (toward the origin).
+    Motion ends when the plane reaches another level of the height function
+    (``slice-area-changes``) or a cube wall (``slice-hits-0/1``).  Raises
+    :class:`NotSymmetrizedError` on any other set.
     """
-    _require_symmetrized(x, assume_symmetrized)
-    s = as_rat(s)
-    if isinstance(direction, str):
-        direction = {"up": 1, "above": 1, "down": -1, "below": -1}[direction]
-    prof = _height_profile(x, axis)
-    if not (ZERO < s < ONE) or not prof.level_cells(s).any():
-        raise NonSingularError(f"{s} is not an interior singular point")
-    return _horizon(prof, s, direction)
+    _require_symmetrized(x)
+    return _horizon(_height_profile(x, axis), as_rat(s), direction)
 
 
-def translate_slice(
-    x: CubicalSet, axis: int, s, d, *, assume_symmetrized: bool = False
-) -> CubicalSet:
-    """Move the singular slice at ``s`` by the signed distance ``d``.
+def translate_slice(x: CubicalSet, axis: int, s, d) -> CubicalSet:
+    """Move the singular slice at ``s`` of a symmetrized set by the signed
+    distance ``d``.
 
     Within the event horizon this changes volume by exactly ``area * d``
-    and relative perimeter by exactly ``signed_measure * d``.
+    and relative perimeter by exactly ``signed_measure * d``.  Raises
+    :class:`NotSymmetrizedError` on any other set.
     """
-    _require_symmetrized(x, assume_symmetrized)
+    _require_symmetrized(x)
     s, d = as_rat(s), as_rat(d)
     if d == 0:
         return x
-    prof = _height_profile(x, axis)
-    if not (ZERO < s < ONE) or not prof.level_cells(s).any():
-        raise NonSingularError(f"{s} is not an interior singular point")
-    horizon = _horizon(prof, s, 1 if d > 0 else -1)
+    horizon = _horizon(_height_profile(x, axis), s, 1 if d > 0 else -1)
     if abs(d) >= horizon.distance:
         raise EventError(horizon, d)
     return _move_cuts(x, axis, {s: s + d})
@@ -254,24 +258,19 @@ def _joint_motion(
 ) -> tuple[CubicalSet, _MotionInfo]:
     """Raise the ``s_grow`` level and lower the ``s_shrink`` level of a
     symmetrized set at equal volume rates, stopping exactly at the first
-    event; ``step`` names the caller in the volume check."""
+    event; ``step`` names the caller in the volume check.
+
+    Only the nearest event of each moving level can come first.  When that
+    event is the other moving level, the two collide sooner."""
     prof = _height_profile(x, axis)
     a_g = prof.level_area(s_grow)
     a_s = prof.level_area(s_shrink)
-    values = set(prof.levels()) | {ZERO, ONE}
-    candidates: list[tuple[Fraction, str]] = []
+    up = _horizon(prof, s_grow, 1)
+    down = _horizon(prof, s_shrink, -1)
+    candidates = [(up.distance * a_g, up.kind), (down.distance * a_s, down.kind)]
     if s_grow < s_shrink:
         t = (s_shrink - s_grow) * a_g * a_s / (a_g + a_s)
         candidates.append((t, "slices-collide"))
-    for v in values:
-        if v in (s_grow, s_shrink):
-            continue
-        if v > s_grow:
-            kind = "slice-hits-1" if v == ONE else "slice-area-changes"
-            candidates.append(((v - s_grow) * a_g, kind))
-        if v < s_shrink:
-            kind = "slice-hits-0" if v == ZERO else "slice-area-changes"
-            candidates.append(((s_shrink - v) * a_s, kind))
     # On a tie the wall event wins: a level that reaches 0 or 1 vanishes,
     # so the perimeter change of that step is not linear in ``t``.
     t_star, kind = min(
@@ -285,19 +284,18 @@ def _joint_motion(
     return y, _MotionInfo(kind, t_star, s_grow, p_grow, s_shrink, p_shrink)
 
 
-def merge_step(
-    x: CubicalSet, axis: int, s1, s2, *, assume_symmetrized: bool = False
-) -> CubicalSet:
-    """Move two equal-first-variation slices of one direction toward each
-    other at matched volume rates until one meets another slice or they
-    collide.  Volume and relative perimeter are preserved exactly and the
-    interior singular count along ``axis`` strictly decreases."""
-    y, _ = _merge_step_full(x, axis, as_rat(s1), as_rat(s2), assume_symmetrized)
+def merge_step(x: CubicalSet, axis: int, s1, s2) -> CubicalSet:
+    """Move two equal-first-variation slices of one direction of a
+    symmetrized set toward each other at matched volume rates until one
+    meets another slice or they collide.  Volume and relative perimeter are
+    preserved exactly and the interior singular count along ``axis``
+    strictly decreases.  Raises :class:`NotSymmetrizedError` on any other set."""
+    y, _ = _merge_step_full(x, axis, as_rat(s1), as_rat(s2))
     return y
 
 
-def _merge_step_full(x, axis, s1, s2, assume):
-    _require_symmetrized(x, assume)
+def _merge_step_full(x, axis, s1, s2):
+    _require_symmetrized(x)
     if not s1 < s2:
         raise DomainError("merge_step requires s1 < s2")
     prof = _height_profile(x, axis)
@@ -317,25 +315,21 @@ def _merge_step_full(x, axis, s1, s2, assume):
     return y, info
 
 
-def improve_step(
-    x: CubicalSet,
-    slice1: tuple,
-    slice2: tuple,
-    *,
-    assume_symmetrized: bool = False,
-) -> CubicalSet:
-    """Strictly decrease relative perimeter at constant volume by growing
-    the slice with the smaller first variation while shrinking the other.
+def improve_step(x: CubicalSet, slice1: tuple, slice2: tuple) -> CubicalSet:
+    """Strictly decrease relative perimeter of a symmetrized set at constant
+    volume by growing the slice with the smaller first variation while
+    shrinking the other.
 
     ``slice1``/``slice2`` are ``(position, axis)`` pairs.  Same-direction
     pairs move jointly to the first event; cross-direction pairs use an
     exact slab exchange, halving the step until the (at most quadratic)
-    interaction term is dominated by the first-order gain."""
-    _require_symmetrized(x, assume_symmetrized)
+    interaction term is dominated by the first-order gain.  Raises
+    :class:`NotSymmetrizedError` on any other set."""
+    _require_symmetrized(x)
     (s1, i1), (s2, i2) = slice1, slice2
     s1, s2 = as_rat(s1), as_rat(s2)
-    d1 = slice_data(x, i1, s1, assume_symmetrized=True)
-    d2 = slice_data(x, i2, s2, assume_symmetrized=True)
+    d1 = _slice_from_profile(_height_profile(x, i1), s1)
+    d2 = _slice_from_profile(_height_profile(x, i2), s2)
     if d1.first_var == d2.first_var:
         raise PreconditionError(
             "equal first variations admit no improving trade"
@@ -375,18 +369,20 @@ def _improve_cross_axis(x, grow, shrink):
     before_vol = x.volume()
     before_per = x.relative_perimeter()
     for _ in range(64):
-        y1 = translate_slice(x, i1, s1, sigma, assume_symmetrized=True)
+        # both moves stay inside their horizons, so each keeps the set
+        # symmetrized and moves one slice, as translate_slice would
+        y1 = _move_cuts(x, i1, {s1: s1 + sigma})
+        prof = _height_profile(y1, i2)
         try:
-            d2_new = slice_data(y1, i2, s2, assume_symmetrized=True)
+            d2_new = _slice_from_profile(prof, s2)
         except NonSingularError:
             sigma /= 2
             continue
         tau = sigma * d1.area / d2_new.area
-        h_s = _horizon(_height_profile(y1, i2), s2, -1).distance
-        if tau >= h_s:
+        if tau >= _horizon(prof, s2, -1).distance:
             sigma /= 2
             continue
-        y = translate_slice(y1, i2, s2, -tau, assume_symmetrized=True)
+        y = _move_cuts(y1, i2, {s2: s2 - tau})
         if y.volume() != before_vol:
             raise InternalCheckError("slab exchange volume mismatch")
         if y.relative_perimeter() < before_per:
@@ -407,15 +403,15 @@ class StationarityReport:
         return sorted({d.first_var for d in self.slices})
 
 
-def check_stationarity(
-    x: CubicalSet, *, assume_symmetrized: bool = False
-) -> StationarityReport:
-    """List every interior singular slice with its exact first variation.
+def check_stationarity(x: CubicalSet) -> StationarityReport:
+    """List every interior singular slice of a symmetrized set with its
+    exact first variation.
 
     A relative-perimeter minimizer must have all first variations equal;
-    any strict inequality certifies an improving volume trade.
+    any strict inequality certifies an improving volume trade.  Raises
+    :class:`NotSymmetrizedError` on any other set.
     """
-    _require_symmetrized(x, assume_symmetrized)
+    _require_symmetrized(x)
     slices = []
     for axis in range(x.dim):
         prof = _height_profile(x, axis)
@@ -429,14 +425,14 @@ def is_special(x: CubicalSet) -> bool:
     """Symmetrized, volume in (0, 1/2], full near the origin corner, and at
     most one interior singular point per direction.
 
-    One test on the occupancy grid: the interior cuts of an axis are its
-    singular points, so the grid has at most two cells per axis, and
-    occupancy never increases along any axis, which puts the origin cell of
-    a nonempty set inside it.
+    Read off the occupancy grid: the interior cuts of an axis are its
+    singular points, so the grid has at most two cells per axis, and a
+    symmetrized set's occupancy never increases along any axis, which puts
+    the origin cell of a nonempty set inside it.
     """
     if not (ZERO < x.volume() <= HALF):
         return False
-    return all(len(g) <= 3 for g in x.grids) and _is_monotone_cells(x.occ, x.dim)
+    return all(len(g) <= 3 for g in x.grids) and is_symmetrized(x)
 
 
 @dataclass(frozen=True)
@@ -450,9 +446,7 @@ class ReductionStep:
     d_volume: Fraction
 
 
-def reduce_to_special(
-    x: CubicalSet, cap_factor: int = 16
-) -> tuple[CubicalSet, list[ReductionStep]]:
+def reduce_to_special(x: CubicalSet) -> tuple[CubicalSet, list[ReductionStep]]:
     """Symmetrize, then merge or improve singular slices direction by
     direction until at most one interior singular point per axis remains.
 
@@ -470,7 +464,7 @@ def reduce_to_special(
     def interior(i):
         return _height_profile(y, i).interior_levels()
 
-    cap = cap_factor * (sum(len(interior(i)) for i in range(y.dim)) + y.dim)
+    cap = _CAP_PER_SLICE * (sum(len(interior(i)) for i in range(y.dim)) + y.dim)
     steps = 0
     while True:
         axis = next((i for i in range(y.dim) if len(interior(i)) >= 2), None)
@@ -488,7 +482,7 @@ def reduce_to_special(
                 pair = (a, b)
                 break
         if pair is not None:
-            z, info = _merge_step_full(y, axis, pair[0], pair[1], True)
+            z, info = _merge_step_full(y, axis, pair[0], pair[1])
             kind = "merge"
         else:
             lo = min(levels, key=lambda v: (data[v].first_var, v))

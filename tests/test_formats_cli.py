@@ -291,6 +291,19 @@ class TestCli:
         assert out.returncode == 0
         assert "[PASS]  1." in out.stdout
 
+    def test_closed_stdout_exits_1_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cubeiso.cli", "verify", "--only", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()  # before the interpreter has started
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err, err
+
 
 def test_cli_accepts_voxel_files(tmp_path):
     from cubeiso.formats import voxel_to_json

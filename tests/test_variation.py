@@ -15,6 +15,7 @@ from cubeiso.errors import (
     NotSymmetrizedError,
     PreconditionError,
 )
+from cubeiso import variation
 from cubeiso.classify import classify
 from cubeiso.geometry import CubicalSet, VoxelSet
 from cubeiso.sampling import random_monotone_set
@@ -150,13 +151,35 @@ class TestSliceData:
 
     def test_requires_symmetrized(self):
         x = cs(2, [((F(1, 4), 0), (F(3, 4), HALF))])
-        with pytest.raises(NotSymmetrizedError):
-            slice_data(x, 0, F(1, 4))
+        q = F(1, 4)
+        calls = [
+            lambda: slice_data(x, 0, q),
+            lambda: event_horizon(x, 0, q, +1),
+            lambda: translate_slice(x, 0, q, F(1, 8)),
+            lambda: merge_step(x, 0, q, F(3, 4)),
+            lambda: improve_step(x, (q, 0), (HALF, 1)),
+            lambda: check_stationarity(x),
+        ]
+        for call in calls:
+            with pytest.raises(NotSymmetrizedError):
+                call()
 
     def test_nonsingular_position(self):
+        # check_stationarity takes no position: it reads only the levels
         x = cs(2, [((0, 0), (HALF, HALF))])
-        with pytest.raises(NonSingularError):
-            slice_data(x, 0, F(1, 4))
+        for s in (F(1, 4), F(0), F(1)):
+            lo, hi = sorted((s, HALF))
+            calls = [
+                lambda: slice_data(x, 0, s),
+                lambda: event_horizon(x, 0, s, +1),
+                lambda: event_horizon(x, 0, s, -1),
+                lambda: translate_slice(x, 0, s, F(1, 8)),
+                lambda: merge_step(x, 0, lo, hi),
+                lambda: improve_step(x, (s, 0), (HALF, 1)),
+            ]
+            for call in calls:
+                with pytest.raises(NonSingularError, match="along axis 0"):
+                    call()
 
 
 class TestTranslate:
@@ -355,7 +378,7 @@ class TestRandomizedMotions:
         done = 0
         while done < 25:
             x = random_monotone_set(rng, 3, 4, max_cells=30)
-            rep = check_stationarity(x, assume_symmetrized=True)
+            rep = check_stationarity(x)
             pairs = [
                 (a, b)
                 for a in rep.slices
@@ -365,12 +388,7 @@ class TestRandomizedMotions:
             if not pairs:
                 continue
             lo, hi = pairs[0]
-            y = improve_step(
-                x,
-                (lo.position, lo.axis),
-                (hi.position, hi.axis),
-                assume_symmetrized=True,
-            )
+            y = improve_step(x, (lo.position, lo.axis), (hi.position, hi.axis))
             assert y.volume() == x.volume()
             assert y.relative_perimeter() < x.relative_perimeter()
             assert is_symmetrized(y)
@@ -436,3 +454,59 @@ def test_wall_event_wins_a_tie():
     assert y.volume() == c.volume()
     assert y.relative_perimeter() <= c.relative_perimeter()
     assert classify(x).verdict == "not_minimizer"
+
+
+def joint_motion_reference(x, axis, s_grow, s_shrink):
+    """``(event, exchanged volume, wall tie)`` of a joint motion, from every
+    level of the height profile: each level above ``s_grow`` or below
+    ``s_shrink`` but the two moving ones is a candidate, and on a tie the
+    wall event wins."""
+    prof = _height_profile(x, axis)
+    a_g, a_s = prof.level_area(s_grow), prof.level_area(s_shrink)
+    candidates = []
+    if s_grow < s_shrink:
+        candidates.append(((s_shrink - s_grow) * a_g * a_s / (a_g + a_s), "slices-collide"))
+    for v in set(prof.levels()) | {F(0), F(1)}:
+        if v in (s_grow, s_shrink):
+            continue
+        if v > s_grow:
+            kind = "slice-hits-1" if v == 1 else "slice-area-changes"
+            candidates.append(((v - s_grow) * a_g, kind))
+        if v < s_shrink:
+            kind = "slice-hits-0" if v == 0 else "slice-area-changes"
+            candidates.append(((s_shrink - v) * a_s, kind))
+    t = min(c[0] for c in candidates)
+    kinds = {k for c, k in candidates if c == t}
+    walls = sorted(k for k in kinds if k.startswith("slice-hits"))
+    return (walls or sorted(kinds))[0], t, bool(walls) and len(walls) < len(kinds)
+
+
+def test_joint_motion_matches_the_full_event_enumeration(monkeypatch):
+    rng = np.random.default_rng(89)
+    for _ in range(20):  # every ordered pair of levels along every axis
+        x = random_monotone_set(rng, 3, 4, max_cells=32)
+        for axis in range(3):
+            levels = _height_profile(x, axis).interior_levels()
+            for a in levels:
+                for b in levels:
+                    if a != b:
+                        _, info = variation._joint_motion(x, axis, a, b, "test")
+                        kind, t, _ = joint_motion_reference(x, axis, a, b)
+                        assert (info.event, info.exchanged) == (kind, t)
+
+    seen = []
+    real = variation._joint_motion
+
+    def checked(x, axis, s_grow, s_shrink, step):
+        y, info = real(x, axis, s_grow, s_shrink, step)
+        kind, t, wall_tie = joint_motion_reference(x, axis, s_grow, s_shrink)
+        assert (info.event, info.exchanged) == (kind, t)
+        seen.append((step, wall_tie))
+        return y, info
+
+    monkeypatch.setattr(variation, "_joint_motion", checked)
+    for _ in range(20):  # the merge and improve pairs of reductions
+        reduce_to_special(random_monotone_set(rng, 3, 5, max_cells=60))
+    reduce_to_special(VoxelSet.from_indices(3, 5, WALL_TIE_CELLS).to_cubical().complement())
+    assert {step for step, _ in seen} == {"merge_step", "improve_step"}
+    assert any(wall_tie for _, wall_tie in seen)

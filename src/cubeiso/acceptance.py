@@ -62,8 +62,9 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(number, name, start, failures, detail_ok):
+def _result(number, start, failures, detail_ok):
     elapsed = time.perf_counter() - start
+    name = next(n for k, n, _ in ALL_CRITERIA if k == number)
     if failures:
         shown = "; ".join(failures[:3])
         more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
@@ -95,7 +96,6 @@ def criterion_1(seed=DEFAULT_SEED) -> CriterionResult:
         failures.append(f"profile at the tube/slab tie: {sorted(e2.kinds)}")
     return _result(
         1,
-        "exact threshold identities",
         start,
         failures,
         "3*V1^(2/3) = 2*V1^(1/2) = 16/27 and 2*V2^(1/2) = 1, exactly",
@@ -120,7 +120,6 @@ def criterion_2(seed=DEFAULT_SEED) -> CriterionResult:
             failures.append(f"slab-swap quadratic at {a} is {q}, not negative")
     return _result(
         2,
-        "wall-thickness cubic and slab-swap quadratic",
         start,
         failures,
         f"root in ({float(root.lo):.6f},{float(root.hi):.6f}], width <= 2^-64; "
@@ -168,7 +167,6 @@ def criterion_3(seed=DEFAULT_SEED) -> CriterionResult:
             failures.append(f"tripod a={a}: dP={cert.d_perimeter} != -a(1-a)")
     return _result(
         3,
-        "competitor certificates",
         start,
         failures,
         "100 points per L-faced family: dVol = 0 and dRelPer < 0 exactly; "
@@ -198,7 +196,6 @@ def criterion_4(seed=DEFAULT_SEED) -> CriterionResult:
             failures.append(f"slab_leg at V={v} should be infeasible")
     return _result(
         4,
-        "stationarity symmetry and infeasibility",
         start,
         failures,
         "a=b=c for box/tri_slab/tripod, a=b for tube, slab_leg infeasible "
@@ -259,7 +256,6 @@ def criterion_5(seed=DEFAULT_SEED) -> CriterionResult:
     failures.extend(audit_notes)
     return _result(
         5,
-        "symmetrization property suite",
         start,
         failures,
         f"{PROPERTY_SETS} random sets: exact volume, monotone perimeter, idempotence, "
@@ -304,7 +300,6 @@ def criterion_6(seed=DEFAULT_SEED) -> CriterionResult:
             break
     return _result(
         6,
-        "first-variation exactness",
         start,
         failures,
         f"{VARIATION_SETS} symmetrized sets, {slices_checked} slice translations: "
@@ -339,7 +334,6 @@ def criterion_7(seed=DEFAULT_SEED) -> CriterionResult:
             break
     return _result(
         7,
-        "reduction soundness",
         start,
         failures,
         f"{REDUCTION_SETS} monotone sets reduced: special outputs, exact volume, "
@@ -429,7 +423,6 @@ def criterion_8(seed=DEFAULT_SEED) -> CriterionResult:
                 checked_shapes += 1
     return _result(
         8,
-        "oracle agreement",
         start,
         failures,
         "general = monotone minima (2D m<=4; 3D m=2); "
@@ -475,7 +468,6 @@ def criterion_9(seed=DEFAULT_SEED) -> CriterionResult:
                 checked += 1
     return _result(
         9,
-        "confined-strip sub-problem",
         start,
         failures,
         f"{checked} grid-representable strip volumes match the confined "
@@ -508,7 +500,6 @@ def criterion_10(seed=DEFAULT_SEED) -> CriterionResult:
             break
     return _result(
         10,
-        "uniqueness ratio audits",
         start,
         failures,
         f"{FACE_PIECES} proper face pieces: cube ratio > 2/a and tube ratio > 1/a, "
@@ -518,9 +509,9 @@ def criterion_10(seed=DEFAULT_SEED) -> CriterionResult:
 
 ALL_CRITERIA: list[tuple[int, str, Callable]] = [
     (1, "exact threshold identities", criterion_1),
-    (2, "wall-thickness cubic", criterion_2),
+    (2, "wall-thickness cubic and slab-swap quadratic", criterion_2),
     (3, "competitor certificates", criterion_3),
-    (4, "stationarity symmetry", criterion_4),
+    (4, "stationarity symmetry and infeasibility", criterion_4),
     (5, "symmetrization property suite", criterion_5),
     (6, "first-variation exactness", criterion_6),
     (7, "reduction soundness", criterion_7),

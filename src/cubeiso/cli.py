@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -244,12 +245,7 @@ def _search_rows(dim, res, cells_list, bits):
 def _cmd_search(args) -> int:
     _at_least(args.res, 1, "--res")
     _at_least(args.precision_bits, 0, "--precision-bits")
-    if args.all_k:
-        cells = list(range(0, args.res**args.dim // 2 + 1))
-    elif args.cells is not None:
-        cells = [args.cells]
-    else:
-        raise _UsageError("provide --cells K or --all-k")
+    cells = list(range(0, args.res**args.dim // 2 + 1)) if args.all_k else [args.cells]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -287,6 +283,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="cubeiso", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -302,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     sp = sub.add_parser("profile", help="isoperimetric profile table")
-    sp.add_argument("--volume", help="single volume p/q")
-    sp.add_argument("--range", nargs=2, metavar=("LO", "HI"), help="volume range")
+    volumes = sp.add_mutually_exclusive_group(required=True)
+    volumes.add_argument("--volume", help="single volume p/q")
+    volumes.add_argument("--range", nargs=2, metavar=("LO", "HI"), help="volume range")
     sp.add_argument("--step", help="range step p/q")
     common(sp, inp=False)
     precision(sp)
@@ -329,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="brute-force discrete minima")
     sp.add_argument("--dim", type=int, choices=(2, 3), required=True)
     sp.add_argument("--res", type=int, required=True)
-    sp.add_argument("--cells", type=int)
-    sp.add_argument("--all-k", action="store_true")
+    cells = sp.add_mutually_exclusive_group(required=True)
+    cells.add_argument("--cells", type=int)
+    cells.add_argument("--all-k", action="store_true")
     common(sp, inp=False)
     precision(sp)
     sp.set_defaults(fn=_cmd_search)

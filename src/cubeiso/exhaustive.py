@@ -10,11 +10,14 @@ isometry maps them onto it.
 Since the subset lattice is closed under axis permutation and isometry
 equivalence is conjugation-invariant, auditing one symmetrization direction
 over all sets decides every direction; the 3D m=3 scan (2^27 sets) uses
-that reduction and a chunked bit-parallel pipeline.
+that reduction and a chunked bit-parallel pipeline.  The pipeline's lookup
+tables (column push, face counts, the isometries' bit maps) are built once
+from geometry's occupancy kernels, so geometry alone holds the rules.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,7 @@ from .geometry import (
     VoxelSet,
     _all_subsets,
     _face_counts,
+    _mask_cells,
     _steiner_cells,
     _transform_cells,
     all_isometries,
@@ -47,11 +51,9 @@ class AuditOutcome:
 
 
 def _audit_small(dim: int, res: int, limit: int) -> AuditOutcome:
-    n_cells = res**dim
     occ = _all_subsets(dim, res)
     n = len(occ)
     perim = _face_counts(occ, dim)
-    isos = [(g.perm, g.flip) for g in all_isometries(dim)]
     violations = []
     preserved_total = 0
     for axis in range(dim):
@@ -59,13 +61,11 @@ def _audit_small(dim: int, res: int, limit: int) -> AuditOutcome:
         eq = perim == _face_counts(sym, dim)
         preserved_total += int(eq.sum())
         matched = np.zeros(n, dtype=bool)
-        for perm, flips in isos:
-            tr = _transform_cells(occ, dim, perm, flips)
+        for g in all_isometries(dim):
+            tr = _transform_cells(occ, dim, g.perm, g.flip)
             matched |= (tr == sym).reshape(n, -1).all(axis=1)
-        bad = np.flatnonzero(eq & ~matched)
-        for mask in bad[: max(0, limit - len(violations))]:
-            flat = [i for i in range(n_cells) if int(mask) >> i & 1]
-            violations.append(VoxelSet.from_indices(dim, res, flat))
+        bad = np.flatnonzero(eq & ~matched)[: max(0, limit - len(violations))]
+        violations += [VoxelSet(res, c) for c in _mask_cells(bad, dim, res)]
         # sanity: isometric sets can never change perimeter
         if np.any(matched & ~eq):
             raise AssertionError("isometric image changed the perimeter")
@@ -81,50 +81,33 @@ _COL_MASK = 0b111
 _CHUNK_BITS = 16
 
 
+@functools.cache
 def _luts_3x3x3():
-    pc = np.array([bin(v).count("1") for v in range(8)], dtype=np.uint32)
-    fill = np.array([0, 1, 3, 7], dtype=np.uint32)[pc]
-    caps = np.array(
-        [bin((v ^ (v >> 1)) & 0b011).count("1") for v in range(8)],
-        dtype=np.uint32,
-    )
-    diff = np.zeros((8, 8), dtype=np.uint32)
-    for a in range(8):
-        for b in range(8):
-            diff[a, b] = bin(a ^ b).count("1")
-    return fill, caps, diff.reshape(64)
+    """Per 3-cell column mask (bit ``i`` is cell ``i`` up the column): its
+    Steiner push and its faces inside the column; per pair of masks
+    (index ``8 a + b``), the faces between two adjacent columns."""
+    cols = _mask_cells(np.arange(8), 1, 3)
+    fill = np.packbits(_steiner_cells(cols, 1, 0), axis=1, bitorder="little")[:, 0]
+    caps = _face_counts(cols, 1)
+    diff = np.count_nonzero(cols[:, None] != cols[None, :], axis=2).reshape(64)
+    return fill.astype(np.uint32), caps.astype(np.uint32), diff.astype(np.uint32)
 
 
+@functools.cache
 def _iso_chunk_tables():
     """For each cube isometry, three 512-entry tables mapping source bit
     chunks to transformed 27-bit words."""
+    chunks = _mask_cells(np.arange(512), 2, 3).reshape(512, 9).astype(np.uint32)
+    cells = np.arange(27).reshape(3, 3, 3)
     tables = []
     for g in all_isometries(3):
-        pos = {}
-        for x in range(3):
-            for y in range(3):
-                for z in range(3):
-                    src = (x, y, z)
-                    # target index j reads source cell perm/flip-mapped
-                    j_coord = []
-                    for i in range(3):
-                        c = src[g.perm[i]]
-                        j_coord.append(2 - c if g.flip[i] else c)
-                    # invert: bit j of g(X) equals bit (x,y,z) of X
-                    j = j_coord[0] * 9 + j_coord[1] * 3 + j_coord[2]
-                    pos[x * 9 + y * 3 + z] = j
-        chunk_tabs = []
-        for k in range(3):
-            tab = np.zeros(512, dtype=np.uint32)
-            for v in range(512):
-                out = 0
-                for b in range(9):
-                    if v >> b & 1:
-                        out |= 1 << pos[9 * k + b]
-                tab[v] = out
-            chunk_tabs.append(tab)
-        tables.append(chunk_tabs)
-    return tables
+        # bit j of the image reads source cell src[j]: weigh each source
+        # cell with the bit it lands on
+        src = _transform_cells(cells, 3, g.perm, g.flip).ravel()
+        weight = np.zeros(27, dtype=np.uint32)
+        weight[src] = np.uint32(1) << np.arange(27, dtype=np.uint32)
+        tables.append(tuple(chunks @ w for w in weight.reshape(3, 9)))
+    return tuple(tables)
 
 
 def _audit_3x3x3(limit: int, stop_after: int) -> AuditOutcome:
@@ -163,10 +146,8 @@ def _audit_3x3x3(limit: int, stop_after: int) -> AuditOutcome:
         for t0, t1, t2 in iso_tables:
             tr = t0[xs & 511] | t1[(xs >> 9) & 511] | t2[xs >> 18]
             matched |= tr == ss
-        bad = np.flatnonzero(~matched)
-        for mask in xs[bad[: max(0, limit - len(violations))]]:
-            flat = [i for i in range(27) if int(mask) >> i & 1]
-            violations.append(VoxelSet.from_indices(3, 3, flat))
+        bad = np.flatnonzero(~matched)[: max(0, limit - len(violations))]
+        violations += [VoxelSet(3, c) for c in _mask_cells(xs[bad], 3, 3)]
         checked += len(masks)
         if stop_after and len(violations) >= stop_after:
             stopped = checked < total

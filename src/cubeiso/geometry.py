@@ -26,17 +26,19 @@ axis.
 The same occupancy kernels (face counts, the Steiner column push, signed
 axis permutations, the monotonicity test) serve :class:`VoxelSet` and
 batches of voxel sets: each acts on the trailing ``dim`` axes of a boolean
-array.
+array.  Integer masks decode to such batches, bit ``i`` holding the cell of
+flat index ``i``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -489,13 +491,17 @@ def _is_monotone_cells(occ: np.ndarray, dim: int) -> bool:
     return True
 
 
+def _mask_cells(masks, dim: int, res: int) -> np.ndarray:
+    """The voxel sets of integer masks as one batch: set ``k`` holds the
+    cell of flat index ``i`` exactly when bit ``i`` of ``masks[k]`` is set."""
+    words = np.ascontiguousarray(masks, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    bits = np.unpackbits(words, axis=1, count=res**dim, bitorder="little")
+    return bits.view(bool).reshape((-1,) + (res,) * dim)
+
+
 def _all_subsets(dim: int, res: int) -> np.ndarray:
-    """Every subset of the m^n grid as one batch: set ``k`` holds the cell
-    of flat index ``i`` exactly when bit ``i`` of ``k`` is set."""
-    n_cells = res**dim
-    masks = np.arange(1 << n_cells, dtype=np.uint64)[:, None]
-    bits = (masks >> np.arange(n_cells, dtype=np.uint64)) & 1
-    return bits.astype(bool).reshape((1 << n_cells,) + (res,) * dim)
+    """Every subset of the m^n grid as one batch, set ``k`` of mask ``k``."""
+    return _mask_cells(np.arange(1 << res**dim, dtype=np.uint64), dim, res)
 
 
 # -- isometries of the cube -------------------------------------------------
@@ -552,11 +558,15 @@ class CubeIsometry:
         return CubeIsometry(tuple(inv), flip)
 
 
-def all_isometries(n: int) -> Iterator[CubeIsometry]:
-    """Enumerate the hyperoctahedral group of [0,1]^n (2^n * n! elements)."""
-    for perm in itertools.permutations(range(n)):
-        for flips in itertools.product((False, True), repeat=n):
-            yield CubeIsometry(perm, flips)
+@functools.cache
+def all_isometries(n: int) -> tuple[CubeIsometry, ...]:
+    """The hyperoctahedral group of [0,1]^n (2^n * n! elements), built once
+    per ``n``."""
+    return tuple(
+        CubeIsometry(perm, flips)
+        for perm in itertools.permutations(range(n))
+        for flips in itertools.product((False, True), repeat=n)
+    )
 
 
 def equal_up_to_isometry(
@@ -654,12 +664,10 @@ class VoxelSet:
 
     def orbit_key(self) -> bytes:
         """Lexicographically smallest occupancy bytes over the full group."""
-        best = None
-        for g in all_isometries(self.dim):
-            b = self.apply(g).cells.tobytes()
-            if best is None or b < best:
-                best = b
-        return best
+        return min(
+            _transform_cells(self.cells, self.dim, g.perm, g.flip).tobytes()
+            for g in all_isometries(self.dim)
+        )
 
     def to_cubical(self) -> CubicalSet:
         return devoxelize(self)

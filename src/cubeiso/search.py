@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, ResolutionCapError
-from .geometry import VoxelSet, _all_subsets, _face_counts
+from .geometry import VoxelSet, _all_subsets, _face_counts, _mask_cells
 
 __all__ = [
     "MonotoneShape",
@@ -275,10 +275,7 @@ def brute_min_general(dim: int, res: int, cells: int) -> BruteResult:
             "cell count must lie in [0, m^n / 2]; complement the rest"
         )
     faces, masks = _general_sweep(dim, res)[cells]
-    sets = (
-        VoxelSet.from_indices(dim, res, [i for i in range(res**dim) if mask >> i & 1])
-        for mask in masks
-    )
+    sets = (VoxelSet(res, c) for c in _mask_cells(masks, dim, res))
     return BruteResult(
         dim,
         res,

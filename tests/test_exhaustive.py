@@ -10,7 +10,7 @@ be genuine.
 import numpy as np
 import pytest
 
-from cubeiso.exhaustive import equality_case_audit
+from cubeiso.exhaustive import _iso_chunk_tables, _luts_3x3x3, equality_case_audit
 from cubeiso.geometry import (
     VoxelSet,
     _face_counts,
@@ -83,6 +83,68 @@ def test_3d_m3_stopped_scan_counts_what_it_checked():
     occ = bits.astype(bool).reshape(n, 3, 3, 3)
     preserved = _face_counts(occ, 3) == _face_counts(_steiner_cells(occ, 3, 2), 3)
     assert out.perimeter_preserving == int(preserved.sum())
+
+
+def _luts_reference():
+    """The 3-cell column tables written out with popcounts."""
+    pc = np.array([bin(v).count("1") for v in range(8)], dtype=np.uint32)
+    fill = np.array([0, 1, 3, 7], dtype=np.uint32)[pc]
+    caps = np.array(
+        [bin((v ^ (v >> 1)) & 0b011).count("1") for v in range(8)],
+        dtype=np.uint32,
+    )
+    diff = np.zeros((8, 8), dtype=np.uint32)
+    for a in range(8):
+        for b in range(8):
+            diff[a, b] = bin(a ^ b).count("1")
+    return fill, caps, diff.reshape(64)
+
+
+def _iso_chunk_tables_reference():
+    """The per-isometry chunk tables written out cell by cell and bit by bit."""
+    tables = []
+    for g in all_isometries(3):
+        pos = {}
+        for x in range(3):
+            for y in range(3):
+                for z in range(3):
+                    src = (x, y, z)
+                    # target index j reads source cell perm/flip-mapped
+                    j_coord = []
+                    for i in range(3):
+                        c = src[g.perm[i]]
+                        j_coord.append(2 - c if g.flip[i] else c)
+                    # invert: bit j of g(X) equals bit (x,y,z) of X
+                    j = j_coord[0] * 9 + j_coord[1] * 3 + j_coord[2]
+                    pos[x * 9 + y * 3 + z] = j
+        chunk_tabs = []
+        for k in range(3):
+            tab = np.zeros(512, dtype=np.uint32)
+            for v in range(512):
+                out = 0
+                for b in range(9):
+                    if v >> b & 1:
+                        out |= 1 << pos[9 * k + b]
+                tab[v] = out
+            chunk_tabs.append(tab)
+        tables.append(chunk_tabs)
+    return tables
+
+
+def test_column_tables_match_the_written_out_formulas():
+    for derived, reference in zip(_luts_3x3x3(), _luts_reference(), strict=True):
+        assert derived.dtype == np.uint32
+        assert np.array_equal(derived, reference)
+
+
+def test_iso_chunk_tables_match_the_written_out_loops():
+    derived = _iso_chunk_tables()
+    reference = _iso_chunk_tables_reference()
+    assert len(derived) == len(reference) == 48
+    for tabs, ref_tabs in zip(derived, reference):
+        for tab, ref in zip(tabs, ref_tabs, strict=True):
+            assert tab.dtype == np.uint32
+            assert np.array_equal(tab, ref)
 
 
 def test_resolution_cap():

@@ -269,6 +269,9 @@ class TestCli:
             ("search", "--dim", "3", "--res", "2", "--all-k", "--precision-bits", "-1"),
             ("profile", "--volume", "1/5", "--precision-bits", "-1"),
             ("verify", "--only", "3", "--seed", "-10"),
+            ("profile",),
+            ("profile", "--volume", "1/5", "--range", "1/4", "1/2", "--step", "1/8"),
+            ("search", "--dim", "2", "--res", "2", "--cells", "1", "--all-k"),
         ):
             out = run_cli(*argv)
             assert out.returncode == 1, argv

@@ -1,5 +1,6 @@
 """Exact geometry kernel: canonical form, measures, sections, isometries."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +14,7 @@ from cubeiso.geometry import (
     CubeIsometry,
     CubicalSet,
     VoxelSet,
+    _mask_cells,
     all_isometries,
     boundary_faces,
     box,
@@ -200,6 +202,12 @@ class TestIsometry:
                 assert y.volume() == x.volume()
                 assert y.relative_perimeter() == x.relative_perimeter()
 
+    def test_group_is_built_once(self):
+        for n in range(1, 5):
+            group = all_isometries(n)
+            assert len({(g.perm, g.flip) for g in group}) == 2**n * math.factorial(n)
+            assert all_isometries(n) is group
+
     def test_equal_up_to_isometry(self):
         a = F(1, 4)
         tube_x = cs(3, [((0, 0, 0), (a, a, 1))])
@@ -306,6 +314,34 @@ class TestVoxel:
         v = VoxelSet(3, rng.random((3, 3, 3)) < 0.5)
         for g in all_isometries(3):
             assert devoxelize(v.apply(g)) == devoxelize(v).apply(g)
+
+    def test_orbit_key_is_the_least_image(self):
+        rng = np.random.default_rng(29)
+        for dim, m in ((2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5)):
+            for _ in range(6):
+                v = VoxelSet(m, rng.random((m,) * dim) < 0.5)
+                images = [v.apply(g).cells.tobytes() for g in all_isometries(dim)]
+                assert v.orbit_key() == min(images)
+
+
+def _mask_cells_reference(masks, dim, res):
+    """Bit ``i`` of each mask, by shifts, as one flat cell per bit."""
+    n = res**dim
+    flat = [[bool(int(mask) >> i & 1) for i in range(n)] for mask in masks]
+    return np.array(flat, dtype=bool).reshape((len(flat),) + (res,) * dim)
+
+
+class TestMaskCells:
+    @pytest.mark.parametrize("dim,res", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 2)])
+    def test_every_mask_of_small_grids(self, dim, res):
+        masks = np.arange(1 << res**dim, dtype=np.uint64)
+        assert np.array_equal(_mask_cells(masks, dim, res), _mask_cells_reference(masks, dim, res))
+
+    def test_random_27_bit_words(self):
+        rng = np.random.default_rng(31)
+        words = rng.integers(0, 1 << 27, size=500, dtype=np.uint32)
+        assert np.array_equal(_mask_cells(words, 3, 3), _mask_cells_reference(words, 3, 3))
+        assert _mask_cells([], 3, 3).shape == (0, 3, 3, 3)
 
 
 class TestHigherDim:

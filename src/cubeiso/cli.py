@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     except (RationalParseError, _UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (CubeIsoError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CubeIsoError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
 

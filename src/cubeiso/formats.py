@@ -61,7 +61,10 @@ def set_to_json(x: CubicalSet) -> str:
 
 
 def _json_object(text: str, what: str) -> dict:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise FormatError(f"a {what} file nests its JSON too deeply to read") from None
     if not isinstance(obj, dict):
         raise FormatError(f"a {what} file holds a JSON object, not {type(obj).__name__}")
     return obj
@@ -135,7 +138,12 @@ def voxel_from_json(text: str) -> VoxelSet:
 def load_set(path: str) -> CubicalSet:
     """Read either a set file or a voxel file, returning a CubicalSet."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
     if "res" in _json_object(text, "set or voxel"):
         return voxel_from_json(text).to_cubical()
     try:

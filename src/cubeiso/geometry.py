@@ -126,7 +126,7 @@ class CubicalSet:
 
     The constructor makes any grid with sorted cuts canonical; outside this
     package, sets are built with :meth:`from_boxes` or :meth:`from_coords`.
-    Derived values (boxes, measures, height profiles) are cached.
+    Derived values (boxes, measures, the integer cell widths) are cached.
     """
 
     __slots__ = ("dim", "grids", "occ", "_cache")
@@ -209,9 +209,24 @@ class CubicalSet:
 
     # -- measures ----------------------------------------------------------
 
+    def _widths(self) -> tuple[list[list[int]], list[int]]:
+        """Per axis, the cell widths as integers over the common denominator
+        of the axis's cuts (the lcm of their denominators), and those
+        denominators; computed once per set."""
+        def scale():
+            widths, dens = [], []
+            for g in self.grids:
+                den = math.lcm(*(c.denominator for c in g))
+                cuts = [c.numerator * (den // c.denominator) for c in g]
+                widths.append([b - a for a, b in zip(cuts, cuts[1:])])
+                dens.append(den)
+            return widths, dens
+
+        return self._cached("widths", scale)
+
     def volume(self) -> Fraction:
         """Weighted count of the occupied cells."""
-        return self._cached("volume", lambda: _volume(self.grids, self.occ))
+        return self._cached("volume", lambda: _volume(self))
 
     def relative_perimeter(self) -> Fraction:
         """(n-1)-measure of the boundary away from the cube walls.
@@ -220,7 +235,7 @@ class CubicalSet:
         cells with different occupancy adds the exact area of the face the
         two cells share.
         """
-        return self._cached("relper", lambda: _face_area(self.grids, self.occ))
+        return self._cached("relper", lambda: _face_area(self))
 
     # -- grids and sections --------------------------------------------
 
@@ -385,24 +400,6 @@ def _combine(x: CubicalSet, y: CubicalSet, op) -> CubicalSet:
     return CubicalSet(grids, occ)
 
 
-def _scaled(cuts: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The cuts of one axis as integers over their common denominator (the
-    lcm of the cut denominators): ``(numerators, denominator)``."""
-    den = math.lcm(*(c.denominator for c in cuts))
-    return [c.numerator * (den // c.denominator) for c in cuts], den
-
-
-def _scaled_widths(grids) -> tuple[list[list[int]], list[int]]:
-    """Per axis, the cell widths of a grid as integers over that axis's
-    common denominator, and the denominators."""
-    widths, dens = [], []
-    for g in grids:
-        cuts, den = _scaled(g)
-        widths.append([b - a for a, b in zip(cuts, cuts[1:])])
-        dens.append(den)
-    return widths, dens
-
-
 def _int_array(values, bound: int) -> np.ndarray:
     """``values`` as an int64 array when no number the caller forms from
     them reaches ``bound`` < 2^63, else as an array of Python ints."""
@@ -425,21 +422,21 @@ def _weigh(values: np.ndarray, widths: list):
     return np.asarray(v).tolist()
 
 
-def _volume(grids: list, occ: np.ndarray) -> Fraction:
+def _volume(x: CubicalSet) -> Fraction:
     """Total measure of the occupied cells."""
-    widths, dens = _scaled_widths(grids)
-    return Fraction(_weigh(occ, widths), math.prod(dens))
+    widths, dens = x._widths()
+    return Fraction(_weigh(x.occ, widths), math.prod(dens))
 
 
-def _face_area(grids: list, occ: np.ndarray) -> Fraction:
+def _face_area(x: CubicalSet) -> Fraction:
     """Total area of the faces between adjacent cells of different
     occupancy; faces on the cube walls do not count.  Over the product of
     the axis denominators, a face across ``axis`` weighs the product of the
     other axes' integer widths times the denominator of ``axis``."""
-    widths, dens = _scaled_widths(grids)
+    widths, dens = x._widths()
     total = 0
-    for axis in range(len(grids)):
-        cells, succ = _neighbours(occ, axis)
+    for axis in range(x.dim):
+        cells, succ = _neighbours(x.occ, axis)
         changes = np.count_nonzero(cells != succ, axis=axis)  # per line
         total += dens[axis] * _weigh(changes, widths[:axis] + widths[axis + 1:])
     return Fraction(total, math.prod(dens))
@@ -527,27 +524,6 @@ class CubeIsometry:
     @property
     def dim(self) -> int:
         return len(self.perm)
-
-    @staticmethod
-    def identity(n: int) -> "CubeIsometry":
-        return CubeIsometry(tuple(range(n)), (False,) * n)
-
-    def apply_point(self, p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = []
-        for i in range(self.dim):
-            v = p[self.perm[i]]
-            out.append(ONE - v if self.flip[i] else v)
-        return tuple(out)
-
-    def compose(self, other: "CubeIsometry") -> "CubeIsometry":
-        """Return self applied after ``other``."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError("isometry dimension mismatch")
-        perm = tuple(other.perm[self.perm[i]] for i in range(self.dim))
-        flip = tuple(
-            self.flip[i] ^ other.flip[self.perm[i]] for i in range(self.dim)
-        )
-        return CubeIsometry(perm, flip)
 
     def inverse(self) -> "CubeIsometry":
         n = self.dim
@@ -650,10 +626,6 @@ class VoxelSet:
     def steiner(self, axis: int) -> "VoxelSet":
         """Push every column along ``axis`` down to an anchored run."""
         return VoxelSet(self.res, _steiner_cells(self.cells, self.dim, axis))
-
-    def is_monotone(self) -> bool:
-        """True when occupancy is non-increasing along every axis."""
-        return _is_monotone_cells(self.cells, self.dim)
 
     def apply(self, iso: CubeIsometry) -> "VoxelSet":
         if iso.dim != self.dim:

@@ -8,6 +8,13 @@ volume against relative perimeter at the exact rational rate P/A, where A is
 the slice area and P the signed measure of its boundary (wall-growing parts
 count +1, wall-shrinking parts -1, parts on the cube boundary 0).
 
+Everything is read off the set's own canonical grid.  Occupancy changes
+across every interior cut, and along an axis where it never increases that
+change is a column top: the interior cuts are exactly the interior levels.
+The level set at cut ``k`` holds the columns occupied in cell row ``k - 1``
+and empty in row ``k``; the columns empty in row ``k - 1`` are lower, and
+those occupied in row ``k`` are higher.
+
 All motions are event-driven: a slice moves exactly to the nearest
 structural event (another level of the height function, or a cube wall), so
 every volume and perimeter delta is an exact rational.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -37,8 +45,8 @@ from .errors import (
     NotSymmetrizedError,
     PreconditionError,
 )
-from .geometry import ONE, ZERO, CubicalSet, _neighbours, _weigh, as_rat
-from .symmetrize import _height_profile, _Profile, is_symmetrized, symmetrize_all
+from .geometry import ZERO, CubicalSet, _neighbours, _weigh, as_rat
+from .symmetrize import is_symmetrized, symmetrize_all
 
 __all__ = [
     "SliceData",
@@ -62,20 +70,31 @@ _CAP_PER_SLICE = 16  # reduction steps allowed per interior singular point and a
 
 
 def monotone_relative_perimeter(x: CubicalSet) -> Fraction:
-    """Relative perimeter via one height profile; requires a symmetrized set.
+    """Relative perimeter via the heights along axis 0; requires a
+    symmetrized set.
 
     Independent of the weighted face count in :mod:`cubeiso.geometry`: the
-    heights along axis 0 are summed from the canonical boxes, and the two
-    routes are cross-checked in the test suite.
+    heights are summed from the canonical boxes, the perimeter is the caps
+    plus the wall differences of their subgraph, and the two routes are
+    cross-checked in the test suite.
     """
     grids = x.grids[1:]
     den = math.lcm(*(c.denominator for c in x.grids[0]))
-    heights = np.zeros(tuple(len(g) - 1 for g in grids), dtype=object)
+    h = np.zeros(tuple(len(g) - 1 for g in grids), dtype=object)
     index = [{c: k for k, c in enumerate(g)} for g in grids]
     for b in x.boxes:
         spans = tuple(slice(ix[a], ix[c]) for ix, a, c in zip(index, b.lo[1:], b.hi[1:]))
-        heights[spans] += int((b.hi[0] - b.lo[0]) * den)
-    return _Profile(0, grids, heights, den).relative_perimeter()
+        h[spans] += int((b.hi[0] - b.lo[0]) * den)
+    # over den times the base denominators, each column strictly between
+    # the walls adds its cell measure, and each pair of adjacent columns
+    # adds its height difference times the area of the face between them
+    widths, dens = (v[1:] for v in x._widths())
+    total = den * _weigh((h > 0) & (h < den), widths)
+    for j, d in enumerate(dens):
+        lower, upper = _neighbours(h, j)
+        rise = abs(upper - lower).sum(axis=j)  # per line along base axis j
+        total += d * _weigh(rise, widths[:j] + widths[j + 1:])
+    return Fraction(total, den * math.prod(dens))
 
 
 def _require_symmetrized(x: CubicalSet):
@@ -115,10 +134,6 @@ class SliceData:
     def first_var(self) -> Fraction:
         return self.signed_measure / self.area
 
-    @property
-    def total_boundary(self) -> Fraction:
-        return self.outer_measure + self.cube_measure + self.inner_measure
-
 
 @dataclass(frozen=True)
 class VariationEvent:
@@ -135,28 +150,43 @@ def singular_points(x: CubicalSet, axis: int) -> list[Fraction]:
     return x.internal_coords(axis)
 
 
-def _slice_from_profile(prof: _Profile, s: Fraction) -> SliceData:
-    """The level set of ``prof`` at ``s`` and its boundary, read from
-    neighbour masks: across each base axis, a region cell on a cube wall
-    adds its face to ``cube_measure``, and a region cell next to a higher
-    (lower) column adds it to ``inner_measure`` (``outer_measure``)."""
-    region = _level_region(prof, s)
-    level = (s * prof.den).numerator
-    below, above = prof.heights < level, prof.heights > level
+def _cut(x: CubicalSet, axis: int, s: Fraction) -> int:
+    """The index of ``s`` among the cuts of ``axis``; raises unless ``s``
+    is an interior cut, that is, a level strictly between the walls."""
+    g = x.grids[axis]
+    k = bisect_left(g, s)
+    if not (0 < k < len(g) - 1 and g[k] == s):
+        raise NonSingularError(
+            f"{s} is not an interior singular point along axis {axis}"
+        )
+    return k
+
+
+def _slice_from_profile(x: CubicalSet, axis: int, k: int) -> SliceData:
+    """The level set of a symmetrized ``x`` at its interior cut ``k`` along
+    ``axis`` and its boundary, read from neighbour masks: across each base
+    axis, a region cell on a cube wall adds its face to ``cube_measure``,
+    and a region cell next to a higher (lower) column adds it to
+    ``inner_measure`` (``outer_measure``)."""
+    under = np.take(x.occ, k - 1, axis=axis)
+    above = np.take(x.occ, k, axis=axis)
+    region = under & ~above
+    widths, dens = x._widths()
+    widths, dens = widths[:axis] + widths[axis + 1:], dens[:axis] + dens[axis + 1:]
     measures = [0, 0, 0]  # outer, cube, inner over the product of the base denominators
-    for j, d in enumerate(prof.dens):
+    for j, d in enumerate(dens):
         counts = np.stack([  # per line along base axis j
-            _facing(region, below, j),
+            _facing(region, ~under, j),
             np.take(region, [0, -1], axis=j).sum(axis=j),
             _facing(region, above, j),
         ])
-        face = prof.widths[:j] + prof.widths[j + 1:]
-        for k, total in enumerate(_weigh(counts, face)):
-            measures[k] += d * total
-    den = math.prod(prof.dens)
+        for m, total in enumerate(_weigh(counts, widths[:j] + widths[j + 1:])):
+            measures[m] += d * total
+    den = math.prod(dens)
     outer, cube, inner = (Fraction(m, den) for m in measures)
-    region_set = CubicalSet(prof.grids, region)
-    return SliceData(prof.axis, s, region_set, prof.weigh(region), outer, cube, inner)
+    region_set = CubicalSet(x.grids[:axis] + x.grids[axis + 1:], region)
+    area = Fraction(_weigh(region, widths), den)
+    return SliceData(axis, x.grids[axis][k], region_set, area, outer, cube, inner)
 
 
 def _facing(region: np.ndarray, side: np.ndarray, axis: int) -> np.ndarray:
@@ -167,37 +197,23 @@ def _facing(region: np.ndarray, side: np.ndarray, axis: int) -> np.ndarray:
     return ((cells & high) | (succ & low)).sum(axis=axis)
 
 
-def _level_region(prof: _Profile, s: Fraction) -> np.ndarray:
-    """Mask of the base cells at height ``s``; raises unless ``s`` is an
-    interior singular point, that is, a level strictly between the walls."""
-    region = prof.level_cells(s)
-    if not (ZERO < s < ONE and region.any()):
-        raise NonSingularError(
-            f"{s} is not an interior singular point along axis {prof.axis}"
-        )
-    return region
-
-
 def slice_data(x: CubicalSet, axis: int, s) -> SliceData:
     """Region, area and signed boundary classification of the singular
     slice of a symmetrized set at position ``s`` along ``axis``; raises
     :class:`NotSymmetrizedError` on any other set."""
     _require_symmetrized(x)
-    return _slice_from_profile(_height_profile(x, axis), as_rat(s))
+    return _slice_from_profile(x, axis, _cut(x, axis, as_rat(s)))
 
 
-def _horizon(prof: _Profile, s: Fraction, direction: int) -> VariationEvent:
-    """The nearest event of the singular slice at ``s`` moving up
-    (``direction`` > 0) or down."""
-    _level_region(prof, s)
-    values = set(prof.levels()) | {ZERO, ONE}
+def _horizon(x: CubicalSet, axis: int, k: int, direction: int) -> VariationEvent:
+    """The nearest event of the singular slice at cut ``k`` moving up
+    (``direction`` > 0) or down: the neighbouring cut."""
+    g = x.grids[axis]
     if direction > 0:
-        nxt = min(v for v in values if v > s)
-        kind = "slice-hits-1" if nxt == ONE else "slice-area-changes"
-        return VariationEvent(kind, nxt - s)
-    prev = max(v for v in values if v < s)
-    kind = "slice-hits-0" if prev == ZERO else "slice-area-changes"
-    return VariationEvent(kind, s - prev)
+        kind = "slice-hits-1" if k + 2 == len(g) else "slice-area-changes"
+        return VariationEvent(kind, g[k + 1] - g[k])
+    kind = "slice-hits-0" if k == 1 else "slice-area-changes"
+    return VariationEvent(kind, g[k] - g[k - 1])
 
 
 def event_horizon(x: CubicalSet, axis: int, s, direction: int) -> VariationEvent:
@@ -209,7 +225,7 @@ def event_horizon(x: CubicalSet, axis: int, s, direction: int) -> VariationEvent
     :class:`NotSymmetrizedError` on any other set.
     """
     _require_symmetrized(x)
-    return _horizon(_height_profile(x, axis), as_rat(s), direction)
+    return _horizon(x, axis, _cut(x, axis, as_rat(s)), direction)
 
 
 def translate_slice(x: CubicalSet, axis: int, s, d) -> CubicalSet:
@@ -224,7 +240,7 @@ def translate_slice(x: CubicalSet, axis: int, s, d) -> CubicalSet:
     s, d = as_rat(s), as_rat(d)
     if d == 0:
         return x
-    horizon = _horizon(_height_profile(x, axis), s, 1 if d > 0 else -1)
+    horizon = _horizon(x, axis, _cut(x, axis, s), 1 if d > 0 else -1)
     if abs(d) >= horizon.distance:
         raise EventError(horizon, d)
     return _move_cuts(x, axis, {s: s + d})
@@ -254,19 +270,19 @@ class _MotionInfo:
 
 
 def _joint_motion(
-    x: CubicalSet, axis: int, s_grow: Fraction, s_shrink: Fraction, step: str
+    x: CubicalSet, grow: SliceData, shrink: SliceData, step: str
 ) -> tuple[CubicalSet, _MotionInfo]:
-    """Raise the ``s_grow`` level and lower the ``s_shrink`` level of a
-    symmetrized set at equal volume rates, stopping exactly at the first
-    event; ``step`` names the caller in the volume check.
+    """Raise the ``grow`` level and lower the ``shrink`` level of a
+    symmetrized set, two slices of one axis, at equal volume rates,
+    stopping exactly at the first event; ``step`` names the caller in the
+    volume check.
 
     Only the nearest event of each moving level can come first.  When that
     event is the other moving level, the two collide sooner."""
-    prof = _height_profile(x, axis)
-    a_g = prof.level_area(s_grow)
-    a_s = prof.level_area(s_shrink)
-    up = _horizon(prof, s_grow, 1)
-    down = _horizon(prof, s_shrink, -1)
+    axis, s_grow, s_shrink = grow.axis, grow.position, shrink.position
+    a_g, a_s = grow.area, shrink.area
+    up = _horizon(x, axis, _cut(x, axis, s_grow), 1)
+    down = _horizon(x, axis, _cut(x, axis, s_shrink), -1)
     candidates = [(up.distance * a_g, up.kind), (down.distance * a_s, down.kind)]
     if s_grow < s_shrink:
         t = (s_shrink - s_grow) * a_g * a_s / (a_g + a_s)
@@ -298,19 +314,17 @@ def _merge_step_full(x, axis, s1, s2):
     _require_symmetrized(x)
     if not s1 < s2:
         raise DomainError("merge_step requires s1 < s2")
-    prof = _height_profile(x, axis)
-    d1 = _slice_from_profile(prof, s1)
-    d2 = _slice_from_profile(prof, s2)
+    d1 = _slice_from_profile(x, axis, _cut(x, axis, s1))
+    d2 = _slice_from_profile(x, axis, _cut(x, axis, s2))
     if d1.first_var != d2.first_var:
         raise PreconditionError(
             f"first variations differ ({d1.first_var} vs {d2.first_var}); "
             "use improve_step"
         )
-    y, info = _joint_motion(x, axis, s1, s2, "merge_step")
-    after = _height_profile(y, axis)
-    if after.relative_perimeter() != prof.relative_perimeter():
+    y, info = _joint_motion(x, d1, d2, "merge_step")
+    if y.relative_perimeter() != x.relative_perimeter():
         raise InternalCheckError("merge_step changed the relative perimeter")
-    if not len(after.interior_levels()) < len(prof.interior_levels()):
+    if not len(y.grids[axis]) < len(x.grids[axis]):
         raise InternalCheckError("merge_step did not reduce the slice count")
     return y, info
 
@@ -326,28 +340,25 @@ def improve_step(x: CubicalSet, slice1: tuple, slice2: tuple) -> CubicalSet:
     interaction term is dominated by the first-order gain.  Raises
     :class:`NotSymmetrizedError` on any other set."""
     _require_symmetrized(x)
-    (s1, i1), (s2, i2) = slice1, slice2
-    s1, s2 = as_rat(s1), as_rat(s2)
-    d1 = _slice_from_profile(_height_profile(x, i1), s1)
-    d2 = _slice_from_profile(_height_profile(x, i2), s2)
+    d1, d2 = (
+        _slice_from_profile(x, i, _cut(x, i, as_rat(s))) for s, i in (slice1, slice2)
+    )
     if d1.first_var == d2.first_var:
         raise PreconditionError(
             "equal first variations admit no improving trade"
         )
     if d1.first_var > d2.first_var:
         d1, d2 = d2, d1
-        (s1, i1), (s2, i2) = (s2, i2), (s1, i1)
-    if i1 == i2:
-        y, _ = _improve_same_axis_full(x, i1, s1, s2, d1, d2)
+    if d1.axis == d2.axis:
+        y, _ = _improve_same_axis_full(x, d1, d2)
         return y
-    return _improve_cross_axis(x, (s1, i1, d1), (s2, i2, d2))
+    return _improve_cross_axis(x, d1, d2)
 
 
-def _improve_same_axis_full(x, axis, s_grow, s_shrink, d_grow, d_shrink):
-    y, info = _joint_motion(x, axis, s_grow, s_shrink, "improve_step")
-    before_per = _height_profile(x, axis).relative_perimeter()
-    after_per = _height_profile(y, axis).relative_perimeter()
-    predicted = (d_grow.first_var - d_shrink.first_var) * info.exchanged
+def _improve_same_axis_full(x, grow, shrink):
+    y, info = _joint_motion(x, grow, shrink, "improve_step")
+    before_per, after_per = x.relative_perimeter(), y.relative_perimeter()
+    predicted = (grow.first_var - shrink.first_var) * info.exchanged
     if info.event in ("slices-collide", "slice-area-changes"):
         if after_per - before_per != predicted:
             raise InternalCheckError(
@@ -363,23 +374,18 @@ def _improve_cross_axis(x, grow, shrink):
     recompute the high-variation slice on the grown set (the two slabs may
     interact), then shrink it by the exactly matching volume.  The step is
     halved until the quadratic interaction term is dominated."""
-    (s1, i1, d1), (s2, i2, _) = grow, shrink
-    h_g = _horizon(_height_profile(x, i1), s1, 1).distance
-    sigma = h_g / 2
+    (s1, i1), (s2, i2) = (grow.position, grow.axis), (shrink.position, shrink.axis)
+    k2 = _cut(x, i2, s2)
+    sigma = _horizon(x, i1, _cut(x, i1, s1), 1).distance / 2
     before_vol = x.volume()
     before_per = x.relative_perimeter()
     for _ in range(64):
-        # both moves stay inside their horizons, so each keeps the set
-        # symmetrized and moves one slice, as translate_slice would
+        # both moves stay inside their horizons, so each keeps every cut
+        # and the set symmetrized, and moves one slice, as translate_slice
+        # would; the shrinking slice stays cut k2 of axis i2
         y1 = _move_cuts(x, i1, {s1: s1 + sigma})
-        prof = _height_profile(y1, i2)
-        try:
-            d2_new = _slice_from_profile(prof, s2)
-        except NonSingularError:
-            sigma /= 2
-            continue
-        tau = sigma * d1.area / d2_new.area
-        if tau >= _horizon(prof, s2, -1).distance:
+        tau = sigma * grow.area / _slice_from_profile(y1, i2, k2).area
+        if tau >= _horizon(y1, i2, k2, -1).distance:
             sigma /= 2
             continue
         y = _move_cuts(y1, i2, {s2: s2 - tau})
@@ -413,10 +419,9 @@ def check_stationarity(x: CubicalSet) -> StationarityReport:
     """
     _require_symmetrized(x)
     slices = []
-    for axis in range(x.dim):
-        prof = _height_profile(x, axis)
-        for v in prof.interior_levels():
-            slices.append(_slice_from_profile(prof, v))
+    for axis, g in enumerate(x.grids):
+        for k in range(1, len(g) - 1):
+            slices.append(_slice_from_profile(x, axis, k))
     fvs = {d.first_var for d in slices}
     return StationarityReport(tuple(slices), len(fvs) <= 1)
 
@@ -461,35 +466,29 @@ def reduce_to_special(x: CubicalSet) -> tuple[CubicalSet, list[ReductionStep]]:
     d_per = y.relative_perimeter() - x.relative_perimeter()
     log = [ReductionStep("symmetrize", None, (), (), ZERO, d_per, ZERO)]
 
-    def interior(i):
-        return _height_profile(y, i).interior_levels()
-
-    cap = _CAP_PER_SLICE * (sum(len(interior(i)) for i in range(y.dim)) + y.dim)
+    cap = _CAP_PER_SLICE * sum(len(g) - 1 for g in y.grids)
     steps = 0
     while True:
-        axis = next((i for i in range(y.dim) if len(interior(i)) >= 2), None)
+        axis = next((i for i, g in enumerate(y.grids) if len(g) > 3), None)
         if axis is None:
             break
         steps += 1
         if steps > cap:
             raise IterationCapError(f"reduction exceeded {cap} steps", log)
-        prof = _height_profile(y, axis)
-        levels = prof.interior_levels()
-        data = {v: _slice_from_profile(prof, v) for v in levels}
-        pair = None
-        for a, b in itertools.combinations(levels, 2):
-            if data[a].first_var == data[b].first_var:
-                pair = (a, b)
-                break
+        data = [_slice_from_profile(y, axis, k) for k in range(1, len(y.grids[axis]) - 1)]
+        pair = next(
+            (p for p in itertools.combinations(data, 2) if p[0].first_var == p[1].first_var),
+            None,
+        )
         if pair is not None:
-            z, info = _merge_step_full(y, axis, pair[0], pair[1])
+            z, info = _merge_step_full(y, axis, pair[0].position, pair[1].position)
             kind = "merge"
         else:
-            lo = min(levels, key=lambda v: (data[v].first_var, v))
-            hi = max(levels, key=lambda v: (data[v].first_var, -v))
-            z, info = _improve_same_axis_full(y, axis, lo, hi, data[lo], data[hi])
+            lo = min(data, key=lambda d: (d.first_var, d.position))
+            hi = max(data, key=lambda d: (d.first_var, -d.position))
+            z, info = _improve_same_axis_full(y, lo, hi)
             kind = "improve"
-        d_per = _height_profile(z, axis).relative_perimeter() - prof.relative_perimeter()
+        d_per = z.relative_perimeter() - y.relative_perimeter()
         if d_per > 0 or z.volume() != y.volume():
             raise InternalCheckError("reduction step violated its contract")
         moved = (info.grow_from, info.shrink_from), (info.grow_to, info.shrink_to)

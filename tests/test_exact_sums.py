@@ -1,5 +1,5 @@
-"""The integer sums of the kernel, the height profiles and the slice analysis
-against a written-out Fraction reference.
+"""The integer sums of the kernel, Steiner symmetrization and the slice
+analysis against a written-out Fraction reference.
 
 The reference functions below sum one ``Fraction`` per cell, face or
 column, as the kernel once did.  They share nothing with the integer code
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from strategies import big_denominator_sets, grid_or_rational_sets
 
 from cubeiso.geometry import CubicalSet
-from cubeiso.symmetrize import _height_profile, symmetrize_all
+from cubeiso.symmetrize import steiner, symmetrize_all
 from cubeiso.variation import _slice_from_profile
 
 ZERO, ONE = F(0), F(1)
@@ -104,20 +104,15 @@ def check_against_reference(x):
     assert x.volume() == volume(x)
     assert x.relative_perimeter() == face_area(x)
     for axis in range(x.dim):
-        prof = _height_profile(x, axis)
+        y = steiner(x, axis)  # the subgraph of the heights, read off its grid
         base, h = heights(x, axis)
-        levels = sorted(set(h.values()))
-        assert prof.levels() == levels
-        for s in levels:
-            area = sum((cell_area(base, idx) for idx, v in h.items() if v == s), ZERO)
-            assert prof.level_area(s) == area
-        assert prof.volume() == x.volume()
-        assert prof.relative_perimeter() == profile_perimeter(base, h)
-        for s in levels:
-            if ZERO < s < ONE:
-                d = _slice_from_profile(prof, s)
-                measures = (d.area, d.outer_measure, d.cube_measure, d.inner_measure)
-                assert measures == slice_measures(base, h, s)
+        assert list(y.grids[axis]) == sorted(set(h.values()) | {ZERO, ONE})
+        assert y.volume() == volume(y) == volume(x)
+        assert y.relative_perimeter() == profile_perimeter(base, h)
+        for k, s in enumerate(y.grids[axis][1:-1], start=1):
+            d = _slice_from_profile(y, axis, k)
+            measures = (d.area, d.outer_measure, d.cube_measure, d.inner_measure)
+            assert measures == slice_measures(base, h, s)
 
 
 def denominator_product(x):

@@ -219,14 +219,32 @@ class TestCli:
             ('{"dim": 3, "res": 1000000, "cells": []}', "'res'"),
             (json.dumps({"dim": 32, "boxes": [{"lo": ["1/3"] * 32, "hi": ["2/3"] * 32}]}),
              "'boxes'"),  # 3^32 grid cells
+            pytest.param(None, "Is a directory", id="directory"),
+            pytest.param(b'{"dim": 1, "boxes": ["\xff"]}', "not UTF-8", id="latin-1"),
+            pytest.param("[" * 200_000, "too deeply", id="deep-list"),
+            pytest.param('{"dim": 1, "boxes": ' + "[" * 200_000, "too deeply", id="deep-field"),
         ],
     )
     def test_malformed_set_file(self, tmp_path, text, field):
         inp = tmp_path / "bad.json"
-        inp.write_text(text)
+        if text is None:
+            inp.mkdir()
+        elif isinstance(text, bytes):
+            inp.write_bytes(text)
+        else:
+            inp.write_text(text)
         out = run_cli("classify", str(inp))
         assert out.returncode == 2
         assert field in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("option", ["--out", "--log"])
+    def test_directory_as_output_path(self, tmp_path, option):
+        inp = tmp_path / "cube.json"
+        inp.write_text(set_to_json(realize("box", (HALF, HALF, HALF))))
+        out = run_cli("reduce", str(inp), option, str(tmp_path))
+        assert out.returncode == 2
+        assert "Is a directory" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_equal_spellings_of_a_coordinate_load_equal(self, tmp_path):

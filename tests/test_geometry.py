@@ -171,7 +171,7 @@ class TestIsometry:
     def test_apply_examples(self):
         a = F(1, 3)
         slab = cs(3, [((0, 0, 0), (a, 1, 1))])
-        ident = CubeIsometry.identity(3)
+        ident = CubeIsometry((0, 1, 2), (False, False, False))
         assert slab.apply(ident) == slab
         flip0 = CubeIsometry((0, 1, 2), (True, False, False))
         assert slab.apply(flip0) == cs(3, [((1 - a, 0, 0), (1, 1, 1))])
@@ -184,13 +184,14 @@ class TestIsometry:
         isos = list(all_isometries(3))
         assert len(isos) == 48
         rng = np.random.default_rng(3)
-        pts = [tuple(F(int(rng.integers(0, 8)), 7) for _ in range(3)) for _ in range(5)]
-        for _ in range(30):
-            g = isos[int(rng.integers(0, 48))]
-            h = isos[int(rng.integers(0, 48))]
-            for p in pts:
-                assert g.compose(h).apply_point(p) == g.apply_point(h.apply_point(p))
-                assert g.inverse().apply_point(g.apply_point(p)) == p
+        for _ in range(5):
+            x = devoxelize(VoxelSet(3, rng.random((3, 3, 3)) < 0.5))
+            images = {x.apply(g) for g in isos}
+            for _ in range(30):
+                g = isos[int(rng.integers(0, 48))]
+                h = isos[int(rng.integers(0, 48))]
+                assert x.apply(g).apply(g.inverse()) == x
+                assert x.apply(h).apply(g) in images  # closed under composition
 
     def test_invariance_of_measures(self):
         rng = np.random.default_rng(9)

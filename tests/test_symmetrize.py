@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from strategies import grid_or_rational_sets
 
-from cubeiso.geometry import CubicalSet, boundary_faces, devoxelize, voxelize
+from cubeiso.geometry import CubicalSet, _is_monotone_cells, boundary_faces, devoxelize, voxelize
 from cubeiso.sampling import random_voxel
-from cubeiso.symmetrize import _height_profile, is_symmetrized, steiner, symmetrize_all
+from cubeiso.symmetrize import is_symmetrized, steiner, symmetrize_all
 
 HALF = F(1, 2)
 
@@ -50,15 +50,16 @@ def test_checkerboard_symmetrizes_to_slab():
 
 
 def test_column_profiles_sum_to_volume():
-    x = cs(2, [((0, 0), (HALF, 1)), ((0, 0), (1, HALF))])
+    q = F(1, 4)
+    x = cs(2, [((0, 0), (HALF, 1)), ((HALF, q), (1, 3 * q))])
+    # column heights along axis 1: 1 over [0, 1/2] and 1/2 over [1/2, 1]
+    assert steiner(x, 1) == cs(2, [((0, 0), (HALF, 1)), ((HALF, 0), (1, HALF))])
+    # along axis 0: 1/2, 1 and 1/2 over the quarters [0, 1/4], [1/4, 3/4], [3/4, 1]
+    assert steiner(x, 0) == cs(2, [((0, 0), (HALF, 1)), ((HALF, q), (1, 3 * q))])
     for axis in range(2):
-        prof = _height_profile(x, axis)
-        (base,) = prof.grids  # the column heights over den, times cell widths
-        heights = [F(int(h), prof.den) for h in prof.heights]
-        total = sum(h * (b - a) for h, a, b in zip(heights, base, base[1:]))
-        assert total == prof.volume() == x.volume()
-        assert prof.to_set() == steiner(x, axis)
-        assert sorted(heights) == [HALF, 1]
+        y = steiner(x, axis)
+        assert y.grids[axis] == (0, HALF, 1)  # the distinct heights with 0 and 1
+        assert y.volume() == x.volume() == F(3, 4)  # 1 * 1/2 + 1/2 * 1/2
 
 
 def test_properties_on_random_voxel_sets():
@@ -93,7 +94,7 @@ def test_symmetrized_iff_monotone_voxel():
     rng = np.random.default_rng(47)
     for _ in range(40):
         v = random_voxel(rng, 2, 4)
-        assert is_symmetrized(devoxelize(v)) == v.is_monotone()
+        assert is_symmetrized(devoxelize(v)) == _is_monotone_cells(v.cells, 2)
 
 
 def test_symmetrize_all_output_is_always_symmetrized():
@@ -115,6 +116,4 @@ def test_grid_kernel_laws(x):
         assert is_symmetrized(y) == all(steiner(y, i) == y for i in range(y.dim))
         for i in range(y.dim):
             assert steiner(y, i).volume() == y.volume()
-            prof = _height_profile(y, i)
-            assert _height_profile(y, i) is prof  # built once per set and axis
-            assert prof.volume() == y.volume()
+        assert y._widths() is y._widths()  # scaled once per set

@@ -1,5 +1,6 @@
 """Slices, signed boundary measures, event-driven motions, reduction."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,7 @@ from strategies import grid_or_rational_sets, two_cell_sets
 from cubeiso.errors import (
     DomainError,
     EventError,
+    IterationCapError,
     NonSingularError,
     NotSymmetrizedError,
     PreconditionError,
@@ -19,7 +21,7 @@ from cubeiso import variation
 from cubeiso.classify import classify
 from cubeiso.geometry import CubicalSet, VoxelSet
 from cubeiso.sampling import random_monotone_set
-from cubeiso.symmetrize import _height_profile, is_symmetrized, steiner, symmetrize_all
+from cubeiso.symmetrize import is_symmetrized, steiner, symmetrize_all
 from cubeiso.variation import (
     check_stationarity,
     event_horizon,
@@ -73,10 +75,31 @@ def singular_reference(x, axis):
     ]
 
 
+def column_heights(x, axis):
+    """Each column's measure along ``axis`` over the cells of the other
+    axes, summed cell by cell."""
+    g = x.grids[axis]
+    cols = np.moveaxis(x.occ, axis, -1)
+    return {
+        idx: sum((g[k + 1] - g[k] for k in range(len(g) - 1) if cols[idx][k]), F(0))
+        for idx in np.ndindex(cols.shape[:-1])
+    }
+
+
+def level_areas(x, axis):
+    """Each column height along ``axis`` and the area of its columns."""
+    base = x.grids[:axis] + x.grids[axis + 1:]
+    areas = {}
+    for idx, h in column_heights(x, axis).items():
+        cell = math.prod((g[i + 1] - g[i] for g, i in zip(base, idx)), start=F(1))
+        areas[h] = areas.get(h, 0) + cell
+    return areas
+
+
 def special_reference(x):
     """The written-out definition: symmetrized, volume in (0, 1/2], the
     point halfway to the first cut of every axis inside, and at most one
-    interior level of the height profile along every axis."""
+    column height strictly between the walls along every axis."""
     if not (0 < x.volume() <= HALF and is_symmetrized(x)):
         return False
     corner = tuple(
@@ -84,7 +107,8 @@ def special_reference(x):
         for i in range(x.dim)
     )
     return x.contains(corner) and all(
-        len(_height_profile(x, i).interior_levels()) <= 1 for i in range(x.dim)
+        len({h for h in column_heights(x, i).values() if 0 < h < 1}) <= 1
+        for i in range(x.dim)
     )
 
 
@@ -123,7 +147,6 @@ class TestSliceData:
         assert d.cube_measure == a + b
         assert d.inner_measure == 0
         assert d.first_var == (a + b) / (a * b)
-        assert d.total_boundary == 2 * (a + b)
 
     def test_tri_slab_corner_slice(self):
         a, b, c = F(1, 5), F(1, 4), F(1, 6)
@@ -458,15 +481,14 @@ def test_wall_event_wins_a_tie():
 
 def joint_motion_reference(x, axis, s_grow, s_shrink):
     """``(event, exchanged volume, wall tie)`` of a joint motion, from every
-    level of the height profile: each level above ``s_grow`` or below
-    ``s_shrink`` but the two moving ones is a candidate, and on a tie the
-    wall event wins."""
-    prof = _height_profile(x, axis)
-    a_g, a_s = prof.level_area(s_grow), prof.level_area(s_shrink)
+    column height: each height above ``s_grow`` or below ``s_shrink`` but
+    the two moving ones is a candidate, and on a tie the wall event wins."""
+    areas = level_areas(x, axis)
+    a_g, a_s = areas[s_grow], areas[s_shrink]
     candidates = []
     if s_grow < s_shrink:
         candidates.append(((s_shrink - s_grow) * a_g * a_s / (a_g + a_s), "slices-collide"))
-    for v in set(prof.levels()) | {F(0), F(1)}:
+    for v in set(areas) | {F(0), F(1)}:
         if v in (s_grow, s_shrink):
             continue
         if v > s_grow:
@@ -486,20 +508,21 @@ def test_joint_motion_matches_the_full_event_enumeration(monkeypatch):
     for _ in range(20):  # every ordered pair of levels along every axis
         x = random_monotone_set(rng, 3, 4, max_cells=32)
         for axis in range(3):
-            levels = _height_profile(x, axis).interior_levels()
+            levels = sorted(h for h in level_areas(x, axis) if 0 < h < 1)
             for a in levels:
                 for b in levels:
                     if a != b:
-                        _, info = variation._joint_motion(x, axis, a, b, "test")
+                        grow, shrink = slice_data(x, axis, a), slice_data(x, axis, b)
+                        _, info = variation._joint_motion(x, grow, shrink, "test")
                         kind, t, _ = joint_motion_reference(x, axis, a, b)
                         assert (info.event, info.exchanged) == (kind, t)
 
     seen = []
     real = variation._joint_motion
 
-    def checked(x, axis, s_grow, s_shrink, step):
-        y, info = real(x, axis, s_grow, s_shrink, step)
-        kind, t, wall_tie = joint_motion_reference(x, axis, s_grow, s_shrink)
+    def checked(x, grow, shrink, step):
+        y, info = real(x, grow, shrink, step)
+        kind, t, wall_tie = joint_motion_reference(x, grow.axis, grow.position, shrink.position)
         assert (info.event, info.exchanged) == (kind, t)
         seen.append((step, wall_tie))
         return y, info
@@ -510,3 +533,20 @@ def test_joint_motion_matches_the_full_event_enumeration(monkeypatch):
     reduce_to_special(VoxelSet.from_indices(3, 5, WALL_TIE_CELLS).to_cubical().complement())
     assert {step for step, _ in seen} == {"merge_step", "improve_step"}
     assert any(wall_tie for _, wall_tie in seen)
+
+
+def test_stalled_reduction_stops_at_the_cap(monkeypatch):
+    # with motions that move nothing, the reduction runs until its cap:
+    # 16 steps per cell row of every axis, here 16 * (4 + 5)
+    x = TestMergeImprove.four_step()
+    assert [len(g) for g in x.grids] == [5, 6]
+
+    def stalled(y, *args):
+        s = y.grids[0][1]
+        return y, variation._MotionInfo("slices-collide", F(0), s, s, s, s)
+
+    monkeypatch.setattr(variation, "_merge_step_full", stalled)
+    monkeypatch.setattr(variation, "_improve_same_axis_full", stalled)
+    with pytest.raises(IterationCapError, match="exceeded 144 steps") as exc:
+        reduce_to_special(x)
+    assert len(exc.value.log) == 1 + 144

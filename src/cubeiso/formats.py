@@ -102,7 +102,10 @@ def _coords(entry: dict, key: str, where: str, parsed: dict) -> tuple:
 
 
 def set_from_json(text: str) -> CubicalSet:
-    obj = _json_object(text, "set")
+    return _set_from_object(_json_object(text, "set"))
+
+
+def _set_from_object(obj: dict) -> CubicalSet:
     dim = _field(obj, "dim", int, most=MAX_DIM)
     boxes = []
     parsed: dict = {}  # a file spells few distinct coordinates
@@ -124,7 +127,10 @@ def voxel_to_json(v: VoxelSet) -> str:
 
 
 def voxel_from_json(text: str) -> VoxelSet:
-    obj = _json_object(text, "voxel")
+    return _voxel_from_object(_json_object(text, "voxel"))
+
+
+def _voxel_from_object(obj: dict) -> VoxelSet:
     dim, res = _field(obj, "dim", int, most=MAX_DIM), _field(obj, "res", int)
     if res**dim > MAX_VOXEL_CELLS:
         raise FormatError(f"field 'res' gives {res}**{dim} cells, above {MAX_VOXEL_CELLS}")
@@ -144,10 +150,11 @@ def load_set(path: str) -> CubicalSet:
             raise FormatError(
                 f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
             ) from None
-    if "res" in _json_object(text, "set or voxel"):
-        return voxel_from_json(text).to_cubical()
+    obj = _json_object(text, "set or voxel")
+    if "res" in obj:
+        return _voxel_from_object(obj).to_cubical()
     try:
-        return set_from_json(text)
+        return _set_from_object(obj)
     except RationalParseError as exc:
         raise FormatError(
             f"field {exc.where!r} must hold a rational p/q, got {exc.text!r}"

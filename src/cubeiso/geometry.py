@@ -82,7 +82,10 @@ class AxisBox:
         if len(self.lo) != len(self.hi):
             raise DimensionMismatchError("lo/hi length mismatch")
         for a, b in zip(self.lo, self.hi):
-            if not (ZERO <= a < b <= ONE):
+            # 0 <= a < b <= 1 on numerators over positive denominators
+            p, q = a.as_integer_ratio()
+            r, t = b.as_integer_ratio()
+            if not (0 <= p and p * t < r * q and r <= t):
                 raise UnitCubeError(
                     f"box side [{a}, {b}] is degenerate or outside [0,1]"
                 )
@@ -334,13 +337,12 @@ def _reduce(grids, occ) -> tuple[tuple, np.ndarray]:
     return tuple(grids), occ
 
 
-def _fill(grids: list, boxes: Iterable[AxisBox]) -> np.ndarray:
-    """Occupancy array of the grid cells covered by the boxes."""
-    index = [{c: k for k, c in enumerate(g)} for g in grids]
-    shape = tuple(len(g) - 1 for g in grids)
+def _fill(shape: tuple, spans: Iterable[tuple]) -> np.ndarray:
+    """Occupancy array of the cells covered by boxes given as per-axis
+    cut ranks ``(lo, hi)``."""
     occ = np.zeros(shape, dtype=bool)
-    for b in boxes:
-        occ[tuple(slice(ix[a], ix[c]) for ix, a, c in zip(index, b.lo, b.hi))] = True
+    for lo, hi in spans:
+        occ[tuple(map(slice, lo, hi))] = True
     return occ
 
 
@@ -374,21 +376,42 @@ def _grid_boxes(grids: list, occ: np.ndarray) -> tuple[AxisBox, ...]:
     return tuple(out)
 
 
+def _rank(pairs: Iterable[tuple]) -> tuple[list, dict]:
+    """The sorted distinct values of the coordinate objects in ``pairs``,
+    with 0 and 1, and the rank of each object's value among them, keyed
+    by the object's ``id``.  Each distinct object is read once, and each
+    distinct value compared only while sorting the values."""
+    objects = {id(c): c for pair in pairs for c in pair}
+    keys = {i: c.as_integer_ratio() for i, c in objects.items()}  # value keys
+    values = {(0, 1): ZERO, (1, 1): ONE}
+    for i, key in keys.items():
+        values.setdefault(key, objects[i])
+    order = sorted(values, key=values.__getitem__)
+    rank = {key: r for r, key in enumerate(order)}
+    return [values[key] for key in order], {i: rank[key] for i, key in keys.items()}
+
+
 def _canonicalize(dim: int, boxes: tuple) -> tuple[list, np.ndarray]:
     """The grid of a union of boxes: per axis, the box coordinates with 0
-    and 1 as cuts, and the cells the boxes cover.  A grid of more than
+    and 1 as cuts, and the cells the boxes cover.  Coordinates are ranked
+    once per axis, and the cells filled by rank.  A grid of more than
     ``MAX_GRID_CELLS`` cells is refused before it is allocated."""
     for b in boxes:
         if b.dim != dim:
             raise DimensionMismatchError(f"box of dim {b.dim} in a dim-{dim} set")
-    grids = [
-        sorted({ZERO, ONE}.union(*((b.lo[i], b.hi[i]) for b in boxes)))
-        for i in range(dim)
-    ]
-    cells = math.prod(len(g) - 1 for g in grids)
+    los = list(zip(*(b.lo for b in boxes))) or [()] * dim  # per axis
+    his = list(zip(*(b.hi for b in boxes))) or [()] * dim
+    grids, lo_ranks, hi_ranks = [], [], []
+    for lo, hi in zip(los, his):
+        cuts, rank = _rank(zip(lo, hi))
+        grids.append(cuts)
+        lo_ranks.append(map(rank.__getitem__, map(id, lo)))
+        hi_ranks.append(map(rank.__getitem__, map(id, hi)))
+    shape = tuple(len(g) - 1 for g in grids)
+    cells = math.prod(shape)
     if cells > MAX_GRID_CELLS:
         raise DomainError(f"the boxes span a grid of {cells} cells, above {MAX_GRID_CELLS}")
-    return grids, _fill(grids, boxes)
+    return grids, _fill(shape, zip(zip(*lo_ranks), zip(*hi_ranks)))
 
 
 def _combine(x: CubicalSet, y: CubicalSet, op) -> CubicalSet:

@@ -27,10 +27,11 @@ is checked once however many steps read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -107,24 +108,41 @@ def _require_symmetrized(x: CubicalSet):
 # -- slice analysis ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceData:
-    """One singular slice: its region, area, and signed boundary measure.
+    """One singular slice: its area, signed boundary measure and region.
 
     ``outer_measure`` is the part of the region's boundary where translating
     the slice outward grows walls (+1), ``inner_measure`` where walls shrink
     (-1), and ``cube_measure`` the part on the cube boundary (0).  The first
     variation ``signed_measure / area`` is the exact rate of perimeter
-    change per unit of volume moved.
+    change per unit of volume moved.  The region, an (n-1)-dimensional
+    set, is built from ``base`` (the cuts of the other axes) and ``mask``
+    (its cells on them) on first read; equality and hashing compare it.
     """
 
     axis: int
     position: Fraction
-    region: CubicalSet
     area: Fraction
     outer_measure: Fraction
     cube_measure: Fraction
     inner_measure: Fraction
+    base: tuple = field(repr=False)
+    mask: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def region(self) -> CubicalSet:
+        return CubicalSet(self.base, self.mask)
+
+    def _key(self) -> tuple:
+        return (self.axis, self.position, self.region, self.area,
+                self.outer_measure, self.cube_measure, self.inner_measure)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SliceData) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def signed_measure(self) -> Fraction:
@@ -184,9 +202,9 @@ def _slice_from_profile(x: CubicalSet, axis: int, k: int) -> SliceData:
             measures[m] += d * total
     den = math.prod(dens)
     outer, cube, inner = (Fraction(m, den) for m in measures)
-    region_set = CubicalSet(x.grids[:axis] + x.grids[axis + 1:], region)
     area = Fraction(_weigh(region, widths), den)
-    return SliceData(axis, x.grids[axis][k], region_set, area, outer, cube, inner)
+    base = x.grids[:axis] + x.grids[axis + 1:]
+    return SliceData(axis, x.grids[axis][k], area, outer, cube, inner, base, region)
 
 
 def _facing(region: np.ndarray, side: np.ndarray, axis: int) -> np.ndarray:
@@ -306,16 +324,19 @@ def merge_step(x: CubicalSet, axis: int, s1, s2) -> CubicalSet:
     meets another slice or they collide.  Volume and relative perimeter are
     preserved exactly and the interior singular count along ``axis``
     strictly decreases.  Raises :class:`NotSymmetrizedError` on any other set."""
-    y, _ = _merge_step_full(x, axis, as_rat(s1), as_rat(s2))
+    _require_symmetrized(x)
+    s1, s2 = as_rat(s1), as_rat(s2)
+    if not s1 < s2:
+        raise DomainError("merge_step requires s1 < s2")
+    d1, d2 = (_slice_from_profile(x, axis, _cut(x, axis, s)) for s in (s1, s2))
+    y, _ = _merge_step_full(x, axis, d1, d2)
     return y
 
 
-def _merge_step_full(x, axis, s1, s2):
+def _merge_step_full(x, axis, d1, d2):
+    """:func:`merge_step` on the slices ``d1`` below ``d2`` of ``axis``,
+    also returning the motion."""
     _require_symmetrized(x)
-    if not s1 < s2:
-        raise DomainError("merge_step requires s1 < s2")
-    d1 = _slice_from_profile(x, axis, _cut(x, axis, s1))
-    d2 = _slice_from_profile(x, axis, _cut(x, axis, s2))
     if d1.first_var != d2.first_var:
         raise PreconditionError(
             f"first variations differ ({d1.first_var} vs {d2.first_var}); "
@@ -481,7 +502,7 @@ def reduce_to_special(x: CubicalSet) -> tuple[CubicalSet, list[ReductionStep]]:
             None,
         )
         if pair is not None:
-            z, info = _merge_step_full(y, axis, pair[0].position, pair[1].position)
+            z, info = _merge_step_full(y, axis, *pair)
             kind = "merge"
         else:
             lo = min(data, key=lambda d: (d.first_var, d.position))

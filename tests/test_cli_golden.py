@@ -5,8 +5,9 @@
 planted cubes, tubes and slabs under cube isometries, a tripod, and unions
 of boxes with prime denominators, one of them past 2^63 in its denominator
 product.  ``firstvar`` also runs on the outputs of ``symmetrize`` and
-``reduce``.  The exit code, standard output and standard error of every run
-must equal ``cli_golden.json``.
+``reduce``.  Every command also runs on malformed set texts, which must end
+with a clean message naming what is wrong.  The exit code, standard output
+and standard error of every run must equal ``cli_golden.json``.
 
 To rewrite the expected file after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``, and record the change.
@@ -83,6 +84,28 @@ SETS = {
 }
 
 
+def _box_texts(*boxes) -> str:
+    return json.dumps({"dim": 3, "boxes": list(boxes)})
+
+
+# over MAX_GRID_CELLS: 300 boxes with distinct cuts span 301^3 cells
+_FINE = [{"lo": [f"{k}/1000"] * 3, "hi": [f"{k + 1}/1000"] * 3} for k in range(300)]
+
+MALFORMED = {
+    "degenerate_before_unparsable": _box_texts(
+        {"lo": ["1/2", 0, 0], "hi": ["2/4", 1, 1]},
+        {"lo": ["1/x", 0, 0], "hi": [1, 1, 1]},
+    ),
+    "outside_unit_cube": _box_texts({"lo": ["-1/3", 0, 0], "hi": ["1/2", 1, 1]}),
+    "lo_hi_lengths_differ": _box_texts({"lo": [0, 0], "hi": [1, 1, 1]}),
+    "box_of_wrong_dim": _box_texts(
+        {"lo": [0, 0, 0], "hi": ["1/2", 1, 1]}, {"lo": [0, 0], "hi": [1, "1/2"]}
+    ),
+    "grid_over_budget": _box_texts(*_FINE),
+    "entry_not_an_object": _box_texts({"lo": [0, 0, 0], "hi": [1, 1, "1/2"]}, ["0", "1"]),
+}
+
+
 def _run(argv: list) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -91,8 +114,8 @@ def _run(argv: list) -> dict:
 
 
 def run_all(workdir: Path) -> dict:
-    """Every command on every set, and ``firstvar`` on the outputs of
-    ``symmetrize`` and ``reduce``."""
+    """Every command on every set and malformed text, and ``firstvar`` on
+    the outputs of ``symmetrize`` and ``reduce``."""
     results = {}
     for name, obj in SETS.items():
         path = workdir / f"{name}.json"
@@ -104,6 +127,10 @@ def run_all(workdir: Path) -> dict:
                 made.write_text(runs[command]["stdout"], encoding="utf-8")
                 runs[f"firstvar_after_{command}"] = _run(["firstvar", str(made)])
         results[name] = runs
+    for name, text in MALFORMED.items():
+        path = workdir / f"{name}.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        results[name] = {command: _run([command, str(path)]) for command in COMMANDS}
     return results
 
 

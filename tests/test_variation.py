@@ -1,5 +1,6 @@
 """Slices, signed boundary measures, event-driven motions, reduction."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -17,7 +18,7 @@ from cubeiso.errors import (
     NotSymmetrizedError,
     PreconditionError,
 )
-from cubeiso import variation
+from cubeiso import geometry, variation
 from cubeiso.classify import classify
 from cubeiso.geometry import CubicalSet, VoxelSet
 from cubeiso.sampling import random_monotone_set
@@ -171,6 +172,38 @@ class TestSliceData:
                     d = slice_data(x, axis, s)
                     assert d.region == x.boundary_slice(axis, s)
                     assert d.area == d.region.volume()
+
+    def test_region_is_built_on_first_read(self, monkeypatch):
+        x = random_monotone_set(np.random.default_rng(5), 3, 4)
+        assert is_symmetrized(x)
+        built = []
+        real = geometry._reduce
+
+        def counted(grids, occ):
+            built.append(occ.shape)
+            return real(grids, occ)
+
+        monkeypatch.setattr(geometry, "_reduce", counted)
+        report = check_stationarity(x)
+        d = slice_data(x, 0, singular_points(x, 0)[0])
+        assert len(report.slices) > 1 and built == []
+        region = d.region
+        assert len(built) == 1
+        assert d.region is region and len(built) == 1
+        assert report.slices[0] == d and len(built) == 2
+
+    def test_equality_compares_regions(self):
+        d = slice_data(cs(2, [((0, 0), (HALF, HALF))]), 0, HALF)
+        assert d.region == cs(1, [((0,), (HALF,))])
+        # same area and measures, region mirrored: [1/2, 1] in place of [0, 1/2]
+        flipped = dataclasses.replace(d, mask=d.mask[::-1])
+        assert (flipped.area, flipped.first_var) == (d.area, d.first_var)
+        assert flipped != d
+        # the same region on a finer base grid
+        finer = dataclasses.replace(
+            d, base=((F(0), F(1, 4), HALF, F(1)),), mask=np.array([True, True, False])
+        )
+        assert finer == d and hash(finer) == hash(d)
 
     def test_requires_symmetrized(self):
         x = cs(2, [((F(1, 4), 0), (F(3, 4), HALF))])

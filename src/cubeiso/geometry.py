@@ -376,12 +376,12 @@ def _grid_boxes(grids: list, occ: np.ndarray) -> tuple[AxisBox, ...]:
     return tuple(out)
 
 
-def _rank(pairs: Iterable[tuple]) -> tuple[list, dict]:
-    """The sorted distinct values of the coordinate objects in ``pairs``,
+def _rank(coords: Iterable) -> tuple[list, dict]:
+    """The sorted distinct values of the coordinate objects ``coords``,
     with 0 and 1, and the rank of each object's value among them, keyed
-    by the object's ``id``.  Each distinct object is read once, and each
-    distinct value compared only while sorting the values."""
-    objects = {id(c): c for pair in pairs for c in pair}
+    by the object's ``id``.  Each distinct object is read once, and only
+    distinct values are compared, while sorting."""
+    objects = {id(c): c for c in coords}
     keys = {i: c.as_integer_ratio() for i, c in objects.items()}  # value keys
     values = {(0, 1): ZERO, (1, 1): ONE}
     for i, key in keys.items():
@@ -403,7 +403,7 @@ def _canonicalize(dim: int, boxes: tuple) -> tuple[list, np.ndarray]:
     his = list(zip(*(b.hi for b in boxes))) or [()] * dim
     grids, lo_ranks, hi_ranks = [], [], []
     for lo, hi in zip(los, his):
-        cuts, rank = _rank(zip(lo, hi))
+        cuts, rank = _rank(lo + hi)
         grids.append(cuts)
         lo_ranks.append(map(rank.__getitem__, map(id, lo)))
         hi_ranks.append(map(rank.__getitem__, map(id, hi)))

@@ -23,8 +23,8 @@ from .enclosure import (
     DEFAULT_BITS,
     Enclosure,
     Scalar,
-    bisect_enclosure,
     nth_root,
+    poly_root,
 )
 from .errors import (
     DomainError,
@@ -316,9 +316,7 @@ def stationary_parameters(
         )
     if family == "tripod":
         # volume 3a^2 - 2a^3 = v with a in (0, 1/2]
-        enc = bisect_enclosure(
-            lambda t: 3 * t * t - 2 * t**3 - v, ZERO, HALF, bits
-        )
+        enc = poly_root((-2, 3, 0, -v), ZERO, HALF, bits)
         a = enc.lo if enc.is_exact else enc
         return StationaryParameters(family, ("a=b=c",), {"a": a, "volume": v})
     raise DomainError(f"unknown family {family!r}")
@@ -348,28 +346,25 @@ def _make_certificate(x: CubicalSet, y: CubicalSet) -> CompetitorCertificate:
     return CompetitorCertificate(x, y, dv, dp)
 
 
-def _rational_near(target_low: Fraction, target_high: Fraction) -> Fraction:
-    """A small-denominator rational inside [target_low, target_high]."""
-    lo, hi = target_low, target_high
-    # walk the Stern-Brocot tree for the simplest fraction in the interval
-    a, b, c, d = 0, 1, 1, 0
-    for _ in range(10_000):
-        mid = Fraction(a + c, b + d)
-        if mid < lo:
-            a, b = mid.numerator, mid.denominator
-        elif mid > hi:
-            c, d = mid.numerator, mid.denominator
-        else:
-            return mid
-    return (lo + hi) / 2
+def _simplest(s: Scalar) -> Fraction:
+    """``s`` when exact, else the positive fraction of least denominator in
+    the enclosure, whose upper end must be positive.
 
-
-def _near_root(x: Fraction, n: int, bits: int) -> Fraction:
-    """A rational close to x**(1/n) (exact when the root is rational)."""
-    r = nth_root(x, n, bits)
-    if isinstance(r, Enclosure):
-        return _rational_near(r.lo, r.hi)
-    return r
+    Continued fractions (Graham-Knuth-Patashnik, Concrete Mathematics, 4.5)
+    on the reciprocal interval [1/hi, 1/lo], with 1/0 read as infinity: take
+    the integer part ``a`` of both ends and invert the rest, until an
+    integer ``t`` lies in the interval.  ``h/k`` are the convergents."""
+    if isinstance(s, Fraction):
+        return s
+    ln, ld, hn, hd = s.hi.denominator, s.hi.numerator, s.lo.denominator, s.lo.numerator
+    h0, h1, k0, k1 = 1, 0, 0, 1
+    while True:
+        a, rem = divmod(ln, ld)
+        if rem == 0 or (a + 1) * hd <= hn:  # lo, else ceil(lo), lies in it
+            t = a + (rem != 0)
+            return Fraction(t * h1 + h0, t * k1 + k0)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        ln, ld, hn, hd = hd, hn - a * hd, ld, ln - a * ld
 
 
 def _best_2d_replacement(a: Fraction, b: Fraction) -> Optional[CubicalSet]:
@@ -382,13 +377,12 @@ def _best_2d_replacement(a: Fraction, b: Fraction) -> Optional[CubicalSet]:
         return CubicalSet.from_coords(2, [((0, 0), (w, 1))])
     # near-square rectangle p x (w/p), perimeter p + w/p -> 2 sqrt(w)
     for bits in (16, 32, 64, 128, 256):
-        p = _near_root(w, 2, bits)
+        p = _simplest(nth_root(w, 2, bits))
         if ZERO < p < ONE and ZERO < w / p < ONE and p + w / p < per_l:
             return CubicalSet.from_coords(2, [((0, 0), (p, w / p))])
         # symmetric-L replacement: u = v solves 2u - u^2 = w, perimeter
         # 2(1-u) -> 2 sqrt(1-w); rationalize u, solve v exactly from the area
-        e = nth_root(ONE - w, 2, bits)
-        u = e if isinstance(e, Fraction) else _rational_near(ONE - e.hi, ONE - e.lo)
+        u = _simplest(_one_minus(nth_root(ONE - w, 2, bits)))
         if ZERO < u < ONE:
             v = (w - u) / (ONE - u)
             if ZERO < v < ONE and (ONE - u) + (ONE - v) < per_l:
@@ -407,12 +401,12 @@ def _profile_shape_competitor(x: CubicalSet) -> CubicalSet:
     if v < ONE:
         candidates.append(CubicalSet.from_coords(3, [((0, 0, 0), (v, 1, 1))]))
     for bits in (16, 32, 64, 128, 256):
-        p = _near_root(v, 2, bits)
+        p = _simplest(nth_root(v, 2, bits))
         if ZERO < p <= ONE and ZERO < v / p <= ONE:
             candidates.append(
                 CubicalSet.from_coords(3, [((0, 0, 0), (p, v / p, 1))])
             )
-        q = _near_root(v, 3, bits)
+        q = _simplest(nth_root(v, 3, bits))
         if ZERO < q <= ONE and ZERO < v / (q * q) <= ONE:
             candidates.append(
                 CubicalSet.from_coords(3, [((0, 0, 0), (q, q, v / (q * q)))])

@@ -46,8 +46,8 @@ def parse_rat(text, where: str = "") -> Fraction:
         raise RationalParseError(str(text), where) from None
 
 
-def set_to_json(x: CubicalSet) -> str:
-    obj = {
+def _set_to_object(x: CubicalSet) -> dict:
+    return {
         "dim": x.dim,
         "boxes": [
             {
@@ -57,7 +57,10 @@ def set_to_json(x: CubicalSet) -> str:
             for b in x.boxes
         ],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ": ")) + "\n"
+
+
+def set_to_json(x: CubicalSet) -> str:
+    return json.dumps(_set_to_object(x), sort_keys=True, separators=(",", ": ")) + "\n"
 
 
 def _json_object(text: str, what: str) -> dict:
@@ -65,6 +68,10 @@ def _json_object(text: str, what: str) -> dict:
         obj = json.loads(text)
     except RecursionError:
         raise FormatError(f"a {what} file nests its JSON too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        raise FormatError(f"a {what} file holds an integer too long to read") from None
     if not isinstance(obj, dict):
         raise FormatError(f"a {what} file holds a JSON object, not {type(obj).__name__}")
     return obj

@@ -400,7 +400,10 @@ def _improve_cross_axis(x, grow, shrink):
     sigma = _horizon(x, i1, _cut(x, i1, s1), 1).distance / 2
     before_vol = x.volume()
     before_per = x.relative_perimeter()
-    for _ in range(64):
+    # The interaction term is at most sigma*tau times an edge length, and
+    # each slice area at least 1/(den_j*den_k), so the winning sigma scales
+    # with the common denominators: 64 halvings plus one per bit of each.
+    for _ in range(64 + sum(d.bit_length() for d in x._widths()[1])):
         # both moves stay inside their horizons, so each keeps every cut
         # and the set symmetrized, and moves one slice, as translate_slice
         # would; the shrinking slice stays cut k2 of axis i2

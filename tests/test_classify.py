@@ -1,6 +1,7 @@
 """Families, stationary parameters, competitors, profile, verdicts, audits."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from cubeiso.classify import (
     profile,
     profile2d,
     realize,
+    _simplest,
     special_family,
     stationary_parameters,
     strip_profile2d,
@@ -185,6 +187,15 @@ class TestCompetitors:
     def test_l_prism_2d_replacement(self):
         a, b, c = F(1, 4), F(1, 3), F(3, 5)
         cert = competitor("l_prism", (a, b, c))
+        assert cert.d_volume == 0 and cert.d_perimeter < 0
+
+    def test_l_prism_symmetric_l_with_rational_root(self):
+        # (1-a)(1-b) = (4/17)^2, so the symmetric L of equal area has the
+        # exact wall thickness u = v = 1 - 4/17
+        cert = competitor("l_prism", (F(1, 17), F(16, 17), HALF))
+        u = F(13, 17)
+        ell = cs(3, [((0, 0, 0), (u, 1, HALF)), ((0, 0, 0), (1, u, HALF))])
+        assert cert.competitor == ell
         assert cert.d_volume == 0 and cert.d_perimeter < 0
 
     def test_l_prism_when_cross_section_is_planar_optimal(self):
@@ -415,3 +426,38 @@ class TestVerdictSweeps:
             res = classify_special(realize("tube", (a, a)))
             expected = "tube" if F(8, 27) <= a <= F(1, 2) else "not_minimizer"
             assert res.verdict == expected, a
+
+
+def stern_brocot_reference(lo, hi, steps=10_000):
+    """The simplest fraction in [lo, hi] by one mediant per step, or None
+    when the walk does not finish in ``steps``."""
+    a, b, c, d = 0, 1, 1, 0
+    for _ in range(steps):
+        mid = F(a + c, b + d)
+        if mid < lo:
+            a, b = mid.numerator, mid.denominator
+        elif mid > hi:
+            c, d = mid.numerator, mid.denominator
+        else:
+            return mid
+    return None
+
+
+def test_simplest_matches_stern_brocot_walk():
+    rng = random.Random(7)
+    cases = [(F(0), F(1, 3)), (F(0), F(5, 2)), (F(2), F(2)), (F(3, 7), F(3, 7)),
+             (F(1), F(3)), (F(5, 2), F(4)), (F(7, 2), F(7, 2) + F(1, 10**9))]
+    while len(cases) < 2000:
+        d = rng.choice([10, 1000, 2**64, 3 * 2**90])
+        lo = F(rng.randrange(0, 3 * d), d) if rng.random() < 0.9 else F(0)
+        hi = lo + F(rng.randrange(0, 3 * d), d) / rng.choice([1, 7, 2**20])
+        if hi > 0:
+            cases.append((lo, hi))
+    walked = 0
+    for lo, hi in cases:
+        ref = stern_brocot_reference(lo, hi)
+        if ref is not None:
+            walked += 1
+            assert _simplest(Enclosure(lo, hi)) == ref, (lo, hi)
+    assert walked > 1500
+    assert _simplest(F(2, 7)) == F(2, 7)

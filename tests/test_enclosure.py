@@ -1,11 +1,79 @@
 """Integer roots and certified enclosures."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from cubeiso.enclosure import exact_nth_root, iroot, nth_root
+from cubeiso.enclosure import Enclosure, exact_nth_root, iroot, nth_root, poly_root
 from cubeiso.errors import DomainError
+
+
+def bisect_reference(f, lo, hi, bits):
+    """Plain bisection of a sign-changing exact function down to width
+    2^-bits, against which the closed-form roots are checked."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0:
+        return Enclosure(lo, lo)
+    if fhi == 0:
+        return Enclosure(hi, hi)
+    assert (flo < 0) != (fhi < 0)
+    target = F(1, 2**bits)
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if fm == 0:
+            return Enclosure(mid, mid)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return Enclosure(lo, hi)
+
+
+def nth_root_reference(x, n, bits):
+    exact = exact_nth_root(x, n)
+    if exact is not None:
+        return exact
+    return bisect_reference(lambda t: t**n - x, F(0), max(F(1), x), bits)
+
+
+def _unit_fractions(rng):
+    """Values in (0, 1] with small, 70-bit and 3 * 2^k denominators, plus
+    exact squares and cubes."""
+    xs = [F(1), F(1, 4), F(8, 27), F(1, 2), F(2, 3), F(1, 3 * 2**40)]
+    for _ in range(6):
+        d = rng.randrange(2, 60)
+        xs.append(F(rng.randrange(1, d + 1), d))
+        d = rng.randrange(2**69, 2**70)
+        xs.append(F(rng.randrange(1, d + 1), d))
+        d = 3 * 2 ** rng.randrange(0, 80)
+        xs.append(F(rng.randrange(1, d + 1), d))
+    return xs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nth_root_matches_bisection(n):
+    for x in _unit_fractions(random.Random(n)):
+        for bits in (0, 1, 2, 8, 64, 67, 256):
+            assert nth_root(x, n, bits) == nth_root_reference(x, n, bits), (x, bits)
+
+
+def test_poly_root_matches_bisection():
+    tripod = (-2, 3, 0, -F(3, 10))  # 3a^2 - 2a^3 = 3/10 on [0, 1/2]
+    wall = (F(2), F(-6), F(6), F(-1))  # criterion 2's cubic on [0, 3/10]
+    for coeffs, lo, hi in ((tripod, F(0), F(1, 2)), (wall, F(0), F(3, 10))):
+        def p(t):
+            return sum(c * t ** (3 - i) for i, c in enumerate(coeffs))
+
+        for bits in range(81):
+            assert poly_root(coeffs, lo, hi, bits) == bisect_reference(p, lo, hi, bits), bits
+
+
+@pytest.mark.parametrize("x", [F(-1, 3), F(-1), F(4, 3), F(9)])
+def test_nth_root_outside_unit_interval(x):
+    with pytest.raises(DomainError):
+        nth_root(x, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])

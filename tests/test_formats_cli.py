@@ -223,6 +223,8 @@ class TestCli:
             pytest.param(b'{"dim": 1, "boxes": ["\xff"]}', "not UTF-8", id="latin-1"),
             pytest.param("[" * 200_000, "too deeply", id="deep-list"),
             pytest.param('{"dim": 1, "boxes": ' + "[" * 200_000, "too deeply", id="deep-field"),
+            pytest.param('{"dim": 3, "boxes": [], "pad": ' + "7" * 5000 + "}", "too long",
+                         id="long-integer"),
         ],
     )
     def test_malformed_set_file(self, tmp_path, text, field):

@@ -3,11 +3,13 @@
 ``perfbench/tracing.py`` wraps private functions of the program by name and
 reads their arguments (``_canonicalize``'s boxes).  A traced ``classify`` on
 a voxel file and on a file with large prime denominators, each of whose
-reductions merges two slices, must fire those hooks and yield metrics.
+reductions merges two slices, and on a planted cube, whose profile takes a
+cube root, must fire those hooks and yield metrics.
 """
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -21,7 +23,10 @@ LAYERS = (
     "geometry", "symmetrize", "variation", "classify", "enclosure",
     "search", "exhaustive", "formats", "cli",
 )
-HOOKED = ("geometry._canonicalize", "variation._slice_from_profile", "variation._merge_step_full")
+HOOKED = (
+    "geometry._canonicalize", "variation._slice_from_profile", "variation._merge_step_full",
+    "enclosure.nth_root",
+)
 
 
 def _is_cubeiso(name: str) -> bool:
@@ -29,10 +34,12 @@ def _is_cubeiso(name: str) -> bool:
 
 
 def test_tracer_hooks_fire_on_classify(tmp_path):
-    # pool items whose reductions each take one merge step
+    # pool items whose reductions each take one merge step, and a planted
+    # cube, whose profile takes a cube root
     inputs = {
         "grid": workloads.grid_item(3, 0.32, 2),
         "rational": workloads.rational_item(4, False, 8),
+        "planted": [((Fraction(0),) * 3, (Fraction(2, 7),) * 3)],
     }
     saved = {n: m for n, m in sys.modules.items() if _is_cubeiso(n)}
     for name in saved:

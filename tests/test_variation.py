@@ -19,7 +19,7 @@ from cubeiso.errors import (
     PreconditionError,
 )
 from cubeiso import geometry, variation
-from cubeiso.classify import classify
+from cubeiso.classify import classify, realize
 from cubeiso.geometry import CubicalSet, VoxelSet
 from cubeiso.sampling import random_monotone_set
 from cubeiso.symmetrize import is_symmetrized, steiner, symmetrize_all
@@ -449,6 +449,13 @@ class TestRandomizedMotions:
             assert y.relative_perimeter() < x.relative_perimeter()
             assert is_symmetrized(y)
             done += 1
+
+    @pytest.mark.parametrize("j", [70, 300])
+    def test_cross_direction_step_scales_with_the_set(self, j):
+        # the step sigma that wins shrinks with the features, past 2^-64
+        e = F(1, 2**j)
+        for family, params in (("box", (e, 2 * e, 3 * e)), ("slab_leg", (F(1, 4), e, e))):
+            assert classify(realize(family, params)).verdict == "not_minimizer"
 
     def test_merge_family_of_flat_staircases(self):
         # equal column widths make the interior slices all zero-variation,

@@ -23,12 +23,12 @@ from .classify import ClassificationResult, classify, profile, profile2d
 from .enclosure import Enclosure, format_decimal
 from .errors import CubeIsoError, RationalParseError
 from .formats import (
-    _set_to_object,
     export_obj,
     load_set,
     parse_rat,
     rat_to_str,
     set_to_json,
+    set_to_object,
 )
 from .search import brute_min
 from .symmetrize import symmetrize_all
@@ -170,7 +170,7 @@ def _classification_json(res: ClassificationResult) -> str:
         obj["stationary"] = res.stationarity.stationary
     if res.competitor is not None:
         obj["competitor"] = {
-            "set": _set_to_object(res.competitor.competitor),
+            "set": set_to_object(res.competitor.competitor),
             "d_volume": rat_to_str(res.competitor.d_volume),
             "d_rel_per": rat_to_str(res.competitor.d_perimeter),
             "d_rel_per_decimal": format_decimal(res.competitor.d_perimeter),

@@ -1,18 +1,17 @@
 """Certified rational enclosures for the few irrational scalars that occur.
 
-Roots such as V^(1/3) and sqrt(V) are either detected as exact rationals or
-read off the integer root of a scaled numerator, into an interval of width
-2^-bits; cubic roots are bracketed by bisection to the same width.
-Verdict-level comparisons never go through floating point: a comparison of
-``c * x^(p/q)`` against a rational reduces to an integer comparison of
-powers.
+Roots such as V^(1/3), sqrt(V) and cubic roots are either detected as exact
+rationals or bracketed by bisection into an interval of width at most
+2^-bits.  Verdict-level comparisons never go through floating point: a
+comparison of ``c * x^(p/q)`` against a rational reduces to an integer
+comparison of powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DomainError
 
@@ -81,16 +80,53 @@ def exact_nth_root(x: Fraction, n: int) -> Fraction | None:
 
 
 def nth_root(x: Fraction, n: int, bits: int = DEFAULT_BITS) -> Scalar:
-    """x^(1/n) for 0 <= x <= 1, as an exact Fraction or the dyadic cell
-    ``[r, r + 1] / 2^bits`` that contains it."""
+    """x^(1/n) for 0 <= x <= 1: exact, or the dyadic cell
+    ``[r, r + 1] / 2^bits`` that holds it, found by bisection of [0, 1]."""
     if not 0 <= x <= 1:
         raise DomainError("nth_root is posed for 0 <= x <= 1")
     exact = exact_nth_root(x, n)
     if exact is not None:
         return exact
-    # r / 2^bits <= x^(1/n) < (r + 1) / 2^bits  iff  r^n <= x * 2^(bits*n)
-    r, _ = iroot((x.numerator << bits * n) // x.denominator, n)
-    return Enclosure(Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
+    return bisect_enclosure(lambda t: t**n - x, Fraction(0), Fraction(1), bits)
+
+
+def bisect_enclosure(
+    f: Callable[[Fraction], Fraction],
+    lo: Fraction,
+    hi: Fraction,
+    bits: int = DEFAULT_BITS,
+) -> Enclosure:
+    """Bracket the root of a sign-changing exact function to width 2^-bits.
+
+    ``f`` must be evaluated exactly (rational in, rational out) and satisfy
+    f(lo) <= 0 <= f(hi) or f(hi) <= 0 <= f(lo).
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0:
+        return Enclosure(lo, lo)
+    if fhi == 0:
+        return Enclosure(hi, hi)
+    if (flo < 0) == (fhi < 0):
+        raise DomainError("no sign change on the bracketing interval")
+    target = Fraction(1, 2**bits)
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if fm == 0:
+            return Enclosure(mid, mid)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return Enclosure(lo, hi)
+
+
+def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Exact Horner evaluation; coeffs ordered highest degree first."""
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def poly_root(
@@ -99,34 +135,7 @@ def poly_root(
     hi: Fraction,
     bits: int = DEFAULT_BITS,
 ) -> Enclosure:
-    """Bracket a root of the polynomial ``coeffs`` (highest degree first) on
-    [lo, hi] to width 2^-bits by bisection; p(lo) and p(hi) must not share
-    a strict sign.  Every value is exact rational arithmetic."""
-
-    def p(t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * t + c
-        return acc
-
-    plo, phi = p(lo), p(hi)
-    if plo == 0:
-        return Enclosure(lo, lo)
-    if phi == 0:
-        return Enclosure(hi, hi)
-    if (plo < 0) == (phi < 0):
-        raise DomainError("no sign change on the bracketing interval")
-    target = Fraction(1, 2**bits)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        pm = p(mid)
-        if pm == 0:
-            return Enclosure(mid, mid)
-        if (pm < 0) == (plo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+    return bisect_enclosure(lambda t: poly_eval(coeffs, t), lo, hi, bits)
 
 
 def cmp_power(c: Fraction, x: Fraction, p: int, q: int, r: Fraction) -> int:

@@ -26,6 +26,7 @@ __all__ = [
     "rat_to_str",
     "parse_rat",
     "set_to_json",
+    "set_to_object",
     "set_from_json",
     "voxel_to_json",
     "voxel_from_json",
@@ -46,7 +47,8 @@ def parse_rat(text, where: str = "") -> Fraction:
         raise RationalParseError(str(text), where) from None
 
 
-def _set_to_object(x: CubicalSet) -> dict:
+def set_to_object(x: CubicalSet) -> dict:
+    """The object that ``set_to_json`` encodes."""
     return {
         "dim": x.dim,
         "boxes": [
@@ -60,7 +62,7 @@ def _set_to_object(x: CubicalSet) -> dict:
 
 
 def set_to_json(x: CubicalSet) -> str:
-    return json.dumps(_set_to_object(x), sort_keys=True, separators=(",", ": ")) + "\n"
+    return json.dumps(set_to_object(x), sort_keys=True, separators=(",", ": ")) + "\n"
 
 
 def _json_object(text: str, what: str) -> dict:

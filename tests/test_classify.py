@@ -198,6 +198,17 @@ class TestCompetitors:
         assert cert.competitor == ell
         assert cert.d_volume == 0 and cert.d_perimeter < 0
 
+    def test_tiny_tube_takes_the_simplest_cube_side(self):
+        # v = 10^-14: at 16 bits the cube root lies in [1/65536, 1/32768],
+        # whose simplest fraction 1/32768 lies 32768 mediants deep in the
+        # Stern-Brocot tree
+        a = F(1, 10**7)
+        res = classify(realize("tube", (a, a)))
+        q = F(1, 32768)
+        assert res.verdict == "not_minimizer"
+        assert res.competitor.competitor == cs(3, [((0, 0, 0), (q, q, a * a / (q * q)))])
+        assert res.competitor.d_volume == 0 and res.competitor.d_perimeter < 0
+
     def test_l_prism_when_cross_section_is_planar_optimal(self):
         # a thick symmetric L is itself a planar minimizer at its area, so
         # no 2D replacement helps; the profile-shape fallback must certify

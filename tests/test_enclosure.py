@@ -5,37 +5,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubeiso.enclosure import Enclosure, exact_nth_root, iroot, nth_root, poly_root
+from cubeiso.enclosure import (
+    Enclosure,
+    bisect_enclosure,
+    exact_nth_root,
+    iroot,
+    nth_root,
+    poly_root,
+)
 from cubeiso.errors import DomainError
 
 
-def bisect_reference(f, lo, hi, bits):
-    """Plain bisection of a sign-changing exact function down to width
-    2^-bits, against which the closed-form roots are checked."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return Enclosure(lo, lo)
-    if fhi == 0:
-        return Enclosure(hi, hi)
-    assert (flo < 0) != (fhi < 0)
-    target = F(1, 2**bits)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return Enclosure(mid, mid)
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
-
-
-def nth_root_reference(x, n, bits):
+def dyadic_cell(x, n, bits):
+    """x^(1/n) read off the integer root: the cell [r, r + 1] / 2^bits with
+    r = iroot(floor(x * 2^(bits * n)), n), or the exact root."""
     exact = exact_nth_root(x, n)
     if exact is not None:
         return exact
-    return bisect_reference(lambda t: t**n - x, F(0), max(F(1), x), bits)
+    r, _ = iroot((x.numerator << bits * n) // x.denominator, n)
+    return Enclosure(F(r, 2**bits), F(r + 1, 2**bits))
 
 
 def _unit_fractions(rng):
@@ -53,21 +41,29 @@ def _unit_fractions(rng):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_nth_root_matches_bisection(n):
+def test_nth_root_ends_in_the_integer_root_cell(n):
     for x in _unit_fractions(random.Random(n)):
         for bits in (0, 1, 2, 8, 64, 67, 256):
-            assert nth_root(x, n, bits) == nth_root_reference(x, n, bits), (x, bits)
+            assert nth_root(x, n, bits) == dyadic_cell(x, n, bits), (x, bits)
 
 
-def test_poly_root_matches_bisection():
-    tripod = (-2, 3, 0, -F(3, 10))  # 3a^2 - 2a^3 = 3/10 on [0, 1/2]
+def test_poly_root_brackets_the_cubics():
+    v = F(3, 10)
+    tripod = (-2, 3, 0, -v)  # 3a^2 - 2a^3 = 3/10 on [0, 1/2]
     wall = (F(2), F(-6), F(6), F(-1))  # criterion 2's cubic on [0, 3/10]
     for coeffs, lo, hi in ((tripod, F(0), F(1, 2)), (wall, F(0), F(3, 10))):
         def p(t):
             return sum(c * t ** (3 - i) for i, c in enumerate(coeffs))
 
         for bits in range(81):
-            assert poly_root(coeffs, lo, hi, bits) == bisect_reference(p, lo, hi, bits), bits
+            enc = poly_root(coeffs, lo, hi, bits)
+            assert enc.hi - enc.lo <= F(1, 2**bits)
+            assert p(enc.lo) * p(enc.hi) <= 0, bits
+    # stationary_parameters' coefficients visit the midpoints of its old lambda
+    for bits in range(81):
+        assert poly_root(tripod, F(0), F(1, 2), bits) == bisect_enclosure(
+            lambda t: 3 * t * t - 2 * t**3 - v, F(0), F(1, 2), bits
+        )
 
 
 @pytest.mark.parametrize("x", [F(-1, 3), F(-1), F(4, 3), F(9)])

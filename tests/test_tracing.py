@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` wraps private functions of the program by name and
 reads their arguments (``_canonicalize``'s boxes).  A traced ``classify`` on
 a voxel file and on a file with large prime denominators, each of whose
-reductions merges two slices, and on a planted cube, whose profile takes a
-cube root, must fire those hooks and yield metrics.
+reductions merges two slices, and on a planted cube, whose profile brackets a
+square root, must fire those hooks and yield metrics.
 """
 
 import importlib
@@ -25,7 +25,7 @@ LAYERS = (
 )
 HOOKED = (
     "geometry._canonicalize", "variation._slice_from_profile", "variation._merge_step_full",
-    "enclosure.nth_root",
+    "enclosure.nth_root", "enclosure.bisect_enclosure",
 )
 
 
@@ -35,7 +35,7 @@ def _is_cubeiso(name: str) -> bool:
 
 def test_tracer_hooks_fire_on_classify(tmp_path):
     # pool items whose reductions each take one merge step, and a planted
-    # cube, whose profile takes a cube root
+    # cube, whose profile brackets a square root
     inputs = {
         "grid": workloads.grid_item(3, 0.32, 2),
         "rational": workloads.rational_item(4, False, 8),

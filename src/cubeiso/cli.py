@@ -353,6 +353,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's limit on int<->str conversions (3.11+, 4300 digits by
+    default) so that exact results of any size print in full.  Input keeps
+    its own bound, ``formats.MAX_INT_DIGITS``."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -360,8 +376,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code = args.fn(args)
-        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        with _all_digits():
+            code = args.fn(args)
+            sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so the flush at

@@ -15,12 +15,18 @@ strings, so serializing the same set always yields the same bytes.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from .errors import DomainError, FormatError, RationalParseError
 from .geometry import MAX_GRID_CELLS, AxisBox, CubicalSet, VoxelSet, boundary_faces
 
 MAX_DIM = 32  # arrays hold at most 32 axes before NumPy 2.0 (64 from 2.0)
 MAX_VOXEL_CELLS = MAX_GRID_CELLS  # res**dim of the largest voxel file read
+# Digits of the longest integer read: Python's default limit on int<->str
+# conversions, which the command line lifts for its exact output only.
+MAX_INT_DIGITS = 4300
+# a longer run of digits, with single underscores between them as int() reads
+_LONG_INT = re.compile(r"\d(?:_?\d){%d}" % MAX_INT_DIGITS)
 
 __all__ = [
     "rat_to_str",
@@ -41,6 +47,8 @@ def rat_to_str(q: Fraction) -> str:
 def parse_rat(text, where: str = "") -> Fraction:
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise RationalParseError(repr(text), where)
+    if isinstance(text, str) and _LONG_INT.search(text):
+        raise RationalParseError(text, where)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -65,14 +73,20 @@ def set_to_json(x: CubicalSet) -> str:
     return json.dumps(set_to_object(x), sort_keys=True, separators=(",", ": ")) + "\n"
 
 
+def _json_int(digits: str) -> int:
+    if len(digits) > MAX_INT_DIGITS + digits.startswith("-"):
+        raise ValueError("integer too long")
+    return int(digits)
+
+
 def _json_object(text: str, what: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise FormatError(f"a {what} file nests its JSON too deeply to read") from None
     except json.JSONDecodeError:
         raise
-    except ValueError:  # an integer past Python's int-to-str digit limit
+    except ValueError:  # an integer of more than MAX_INT_DIGITS digits
         raise FormatError(f"a {what} file holds an integer too long to read") from None
     if not isinstance(obj, dict):
         raise FormatError(f"a {what} file holds a JSON object, not {type(obj).__name__}")
@@ -95,18 +109,24 @@ def _field(obj: dict, key: str, kind: type, where: str = "", most=None):
     return value
 
 
-def _coords(entry: dict, key: str, where: str, parsed: dict) -> tuple:
-    """The coordinates ``entry[key]``; ``parsed`` maps each coordinate
-    string already read from this file to its value."""
-    values = _field(entry, key, list, f"{where}.{key}")
+def _coords(entry: dict, key: str, box: int, parsed: dict) -> tuple:
+    """The coordinates ``entry[key]`` of box number ``box``; ``parsed``
+    maps each coordinate string already read from this file to its value.
+    The location an error message names is spelled out only when raising."""
+    values = entry.get(key)
+    if type(values) is not list:
+        _field(entry, key, list, f"boxes[{box}].{key}")  # raises
     out = []
-    for i, c in enumerate(values):
-        if type(c) is not str:  # numbers are not memoized: True == 1
-            out.append(parse_rat(c, f"{where}.{key}[{i}]"))
-            continue
-        if c not in parsed:
-            parsed[c] = parse_rat(c, f"{where}.{key}[{i}]")
-        out.append(parsed[c])
+    for c in values:
+        value = parsed.get(c) if type(c) is str else None  # numbers: True == 1
+        if value is None:
+            try:
+                value = parse_rat(c)
+            except RationalParseError as exc:
+                raise RationalParseError(exc.text, f"boxes[{box}].{key}[{len(out)}]") from None
+            if type(c) is str:
+                parsed[c] = value
+        out.append(value)
     return tuple(out)
 
 
@@ -119,11 +139,10 @@ def _set_from_object(obj: dict) -> CubicalSet:
     boxes = []
     parsed: dict = {}  # a file spells few distinct coordinates
     for k, entry in enumerate(_field(obj, "boxes", list) if "boxes" in obj else []):
-        where = f"boxes[{k}]"
         if type(entry) is not dict:
-            raise FormatError(f"field {where!r} must be an object, got {entry!r}")
-        lo = _coords(entry, "lo", where, parsed)
-        boxes.append(AxisBox(lo, _coords(entry, "hi", where, parsed)))
+            raise FormatError(f"field 'boxes[{k}]' must be an object, got {entry!r}")
+        lo = _coords(entry, "lo", k, parsed)
+        boxes.append(AxisBox(lo, _coords(entry, "hi", k, parsed)))
     try:
         return CubicalSet.from_boxes(dim, boxes)
     except DomainError as exc:  # the grid of the boxes is over budget

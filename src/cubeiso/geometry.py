@@ -475,23 +475,55 @@ def _neighbours(occ: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return occ[before + (slice(None, -1),)], occ[before + (slice(1, None),)]
 
 
+# Grids of at most this many cells read their face-adjacent cell pairs from a
+# table built once per grid shape, of about 16 bytes a cell per axis; larger
+# grids compare slice views, which allocate nothing per pair.
+PAIR_TABLE_CELLS = 4096
+
+
+@functools.cache
+def _face_pairs(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices ``a`` and ``b`` of every pair of face-adjacent cells of a
+    grid of ``shape``: cell ``b[i]`` follows cell ``a[i]`` along some axis.
+    The indices are ``intp``, which ``take`` reads without converting them."""
+    index = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
+    pairs = [_neighbours(index, axis) for axis in range(len(shape))]
+    empty = [index.ravel()[:0]]  # a 0-dimensional grid has no pairs
+    a, b = (np.concatenate([p[k].ravel() for p in pairs] or empty) for k in (0, 1))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def _face_counts(occ: np.ndarray, dim: int):
     """Number of faces between adjacent cells of different occupancy."""
-    lead = occ.ndim - dim
-    sets = tuple(range(lead, occ.ndim)) if lead else None
-    total = 0
-    for axis in range(lead, occ.ndim):
-        cells, succ = _neighbours(occ, axis)
-        total = total + np.count_nonzero(cells != succ, axis=sets)
-    return total
+    lead, shape = occ.shape[: occ.ndim - dim], occ.shape[occ.ndim - dim:]
+    cells = math.prod(shape)
+    if cells > PAIR_TABLE_CELLS:
+        sets = tuple(range(len(lead), occ.ndim)) if lead else None
+        return sum(
+            np.count_nonzero(np.not_equal(*_neighbours(occ, axis)), axis=sets)
+            for axis in range(len(lead), occ.ndim)
+        )
+    a, b = _face_pairs(shape)
+    flat = occ.reshape(lead + (cells,))
+    differ = flat.take(a, axis=-1)
+    differ ^= flat.take(b, axis=-1)  # != on booleans, in place
+    return np.count_nonzero(differ, axis=-1 if lead else None)
+
+
+@functools.cache
+def _ramp(length: int, trailing: int) -> np.ndarray:
+    """``0, 1, ..., length - 1`` along an axis with ``trailing`` axes after it."""
+    ramp = np.arange(length).reshape((-1,) + (1,) * trailing)
+    ramp.flags.writeable = False
+    return ramp
 
 
 def _steiner_cells(occ: np.ndarray, dim: int, axis: int) -> np.ndarray:
     """Push every column along ``axis`` down to a run anchored at cell 0."""
     axis -= dim
-    heights = occ.sum(axis=axis, keepdims=True)
-    ramp = np.arange(occ.shape[axis]).reshape((-1,) + (1,) * (-axis - 1))
-    return ramp < heights
+    heights = np.add.reduce(occ, axis=axis, keepdims=True)
+    return _ramp(occ.shape[axis], -axis - 1) < heights
 
 
 def _transform_cells(occ: np.ndarray, dim: int, perm, flip) -> np.ndarray:
@@ -592,7 +624,8 @@ class VoxelSet:
     """Occupancy of the regular m^n grid on [0,1]^n.
 
     Cell ``(a_1, ..., a_n)`` is the box ``prod [a_i/m, (a_i+1)/m]``; the
-    array is indexed in that axis order.
+    array is indexed in that axis order.  A set is an immutable value: it
+    keeps a read-only copy of the occupancy it is given.
     """
 
     __slots__ = ("res", "cells")
@@ -600,11 +633,21 @@ class VoxelSet:
     def __init__(self, res: int, cells: np.ndarray):
         if res < 1:
             raise DomainError("resolution must be >= 1")
-        cells = np.ascontiguousarray(cells, dtype=bool)
-        if any(s != res for s in cells.shape):
+        cells = np.array(cells, dtype=bool, order="C")
+        if cells.shape != (res,) * cells.ndim:
             raise DimensionMismatchError("occupancy shape must be (m,)*n")
+        cells.flags.writeable = False
         self.res = res
         self.cells = cells
+
+    @classmethod
+    def _owning(cls, res: int, cells: np.ndarray) -> "VoxelSet":
+        """The set of ``cells``, a new array of shape ``(res,) * n`` that no
+        one else holds; made read-only, not copied."""
+        cells.flags.writeable = False
+        v = object.__new__(cls)
+        v.res, v.cells = res, cells
+        return v
 
     @property
     def dim(self) -> int:
@@ -626,15 +669,15 @@ class VoxelSet:
         return (
             isinstance(other, VoxelSet)
             and self.res == other.res
-            and self.dim == other.dim
-            and bool(np.array_equal(self.cells, other.cells))
+            and self.cells.shape == other.cells.shape
+            and self.cells.tobytes() == other.cells.tobytes()
         )
 
     def __hash__(self):
         return hash((self.res, self.dim, self.cells.tobytes()))
 
     def count(self) -> int:
-        return int(self.cells.sum())
+        return int(np.count_nonzero(self.cells))
 
     def volume(self) -> Fraction:
         return Fraction(self.count(), self.res**self.dim)
@@ -648,7 +691,7 @@ class VoxelSet:
 
     def steiner(self, axis: int) -> "VoxelSet":
         """Push every column along ``axis`` down to an anchored run."""
-        return VoxelSet(self.res, _steiner_cells(self.cells, self.dim, axis))
+        return VoxelSet._owning(self.res, _steiner_cells(self.cells, self.dim, axis))
 
     def apply(self, iso: CubeIsometry) -> "VoxelSet":
         if iso.dim != self.dim:

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cubeiso import cli
 from cubeiso.classify import realize
 from cubeiso.errors import DomainError, FormatError, RationalParseError
 from cubeiso.formats import (
@@ -225,6 +226,8 @@ class TestCli:
             pytest.param('{"dim": 1, "boxes": ' + "[" * 200_000, "too deeply", id="deep-field"),
             pytest.param('{"dim": 3, "boxes": [], "pad": ' + "7" * 5000 + "}", "too long",
                          id="long-integer"),
+            pytest.param('{"dim": 1, "boxes": [{"lo": ["0"], "hi": ["1/' + "7" * 5000 + '"]}]}',
+                         "'boxes[0].hi[0]'", id="long-coordinate"),
         ],
     )
     def test_malformed_set_file(self, tmp_path, text, field):
@@ -313,6 +316,27 @@ class TestCli:
         out = run_cli("verify", "--only", "1")
         assert out.returncode == 0
         assert "[PASS]  1." in out.stdout
+
+    def test_results_past_the_int_digit_limit_print_in_full(self, tmp_path, capsys):
+        # a box with 3001-digit denominators has a 9001-digit volume, past
+        # the 4300 digits Python 3.11+ converts to text by default
+        dens = [10**3000 + c for c in (3, 7, 9)]
+        inp = tmp_path / "big.json"
+        inp.write_text(json.dumps({"dim": 3, "boxes": [{"lo": ["0"] * 3, "hi": [f"1/{d}" for d in dens]}]}))
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = digit_limit()
+        assert cli.main(["symmetrize", str(inp)]) == 0
+        sym = capsys.readouterr()
+        assert cli.main(["firstvar", str(inp)]) == 0
+        first = capsys.readouterr()
+        assert digit_limit() == limit  # lifted for the command only
+        assert set_from_json(sym.out) == set_from_json(inp.read_text())
+        with cli._all_digits():
+            volume = f"volume 1/{dens[0] * dens[1] * dens[2]} (unchanged)"
+            areas = [str(F(1, dens[1] * dens[2])), str(F(1, dens[0] * dens[2])), str(F(1, dens[0] * dens[1]))]
+        assert sym.err.startswith(volume)
+        slices = json.loads(first.out)["slices"]
+        assert [(d["position"], d["area"]) for d in slices] == list(zip((f"1/{d}" for d in dens), areas))
 
     def test_closed_stdout_exits_1_without_traceback(self):
         proc = subprocess.Popen(

@@ -1,6 +1,7 @@
 """Exact geometry kernel: canonical form, measures, sections, isometries."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,8 +14,12 @@ from cubeiso.errors import AlignmentError, DimensionMismatchError, DomainError, 
 from cubeiso.geometry import (
     CubeIsometry,
     CubicalSet,
+    PAIR_TABLE_CELLS,
     VoxelSet,
+    _face_counts,
+    _face_pairs,
     _mask_cells,
+    _steiner_cells,
     all_isometries,
     boundary_faces,
     box,
@@ -323,6 +328,103 @@ class TestVoxel:
                 v = VoxelSet(m, rng.random((m,) * dim) < 0.5)
                 images = [v.apply(g).cells.tobytes() for g in all_isometries(dim)]
                 assert v.orbit_key() == min(images)
+
+    def test_voxel_set_is_an_immutable_value(self):
+        source = np.zeros((2, 2), dtype=bool)
+        v = VoxelSet(2, source)
+        held = {v}
+        source[0, 0] = True  # the set keeps its own copy
+        assert v in held and v.count() == 0 and v == VoxelSet(2, np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ValueError):
+            v.cells[0, 0] = True
+        assert v.count() == 0 and v in held
+        for image in (v.steiner(0), v.apply(all_isometries(2)[3])):
+            with pytest.raises(ValueError):
+                image.cells[0, 0] = True
+
+    def test_counts_are_python_ints(self):
+        v = VoxelSet(3, np.eye(3, dtype=bool))
+        assert type(v.count()) is int and type(v.face_count()) is int
+
+
+def _faces_by_cells(occ):
+    """Faces between adjacent cells of different occupancy, one cell at a time."""
+    faces = 0
+    for cell in np.ndindex(occ.shape):
+        for axis in range(occ.ndim):
+            succ = cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]
+            if succ[axis] < occ.shape[axis] and occ[cell] != occ[succ]:
+                faces += 1
+    return faces
+
+
+def _steiner_by_cells(occ, axis):
+    """Cell ``c`` is occupied when fewer cells than its column holds lie below it."""
+    out = np.zeros_like(occ)
+    for cell in np.ndindex(occ.shape):
+        column = cell[:axis] + (slice(None),) + cell[axis + 1:]
+        out[cell] = cell[axis] < np.count_nonzero(occ[column])
+    return out
+
+
+@st.composite
+def voxel_batches(draw):
+    """A batch of 1-3 voxel sets of one grid, dims 1-4 and res 1-8, and dim 4
+    at res 9, whose 6561 cells take the slice kernel; empty and full sets
+    included."""
+    dim = draw(st.integers(1, 4))
+    res = draw(st.integers(1, 9 if dim == 4 else 8))
+    density = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((draw(st.integers(1, 3)),) + (res,) * dim) < density
+
+
+@settings(max_examples=80, deadline=None)
+@given(voxel_batches())
+def test_kernels_match_per_cell_loops(batch):
+    dim = batch.ndim - 1
+    faces = _face_counts(batch, dim)
+    images = [_steiner_cells(batch, dim, axis) for axis in range(dim)]
+    for k, occ in enumerate(batch):
+        assert faces[k] == _face_counts(occ, dim) == _faces_by_cells(occ)
+        for axis in range(dim):
+            image = _steiner_cells(occ, dim, axis)
+            assert np.array_equal(image, _steiner_by_cells(occ, axis))
+            assert np.array_equal(images[axis][k], image)
+
+
+def test_pair_table_is_built_once():
+    rng = np.random.default_rng(37)
+    VoxelSet(5, rng.random((5, 5, 5)) < 0.5).face_count()
+    built = _face_pairs.cache_info().misses
+    for _ in range(3):
+        VoxelSet(5, rng.random((5, 5, 5)) < 0.5).face_count()
+    assert _face_pairs.cache_info().misses == built
+    a, b = _face_pairs((5, 5, 5))
+    assert _face_pairs((5, 5, 5))[0] is a
+    assert len(a) == len(b) == 3 * 5 * 5 * 4
+    assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_large_grid_face_count_allocates_no_pair_table():
+    # above PAIR_TABLE_CELLS the kernel compares slice views, so it needs
+    # no more memory than one axis's comparison, as the slice kernel does
+    occ = np.random.default_rng(41).random((64, 64, 64)) < 0.5
+    assert occ.size > PAIR_TABLE_CELLS
+    v = VoxelSet(64, occ)
+
+    def slice_kernel():
+        return sum(int(np.count_nonzero(np.diff(occ, axis=axis))) for axis in range(3))
+
+    peaks = []
+    for count in (slice_kernel, v.face_count):
+        count()
+        tracemalloc.start()
+        faces = count()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert faces == slice_kernel()
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def _mask_cells_reference(masks, dim, res):

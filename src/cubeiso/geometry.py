@@ -475,17 +475,19 @@ def _neighbours(occ: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return occ[before + (slice(None, -1),)], occ[before + (slice(1, None),)]
 
 
-# Grids of at most this many cells read their face-adjacent cell pairs from a
-# table built once per grid shape, of about 16 bytes a cell per axis; larger
-# grids compare slice views, which allocate nothing per pair.
-PAIR_TABLE_CELLS = 4096
+# A batch of sets with more face-adjacent pairs than this is counted in chunks
+# of sets, each gathering at most this many pairs, so that a batch of 2^16
+# sets holds less memory than comparing one axis at a time (and 2^16 is the
+# fastest of 2^12 to 2^20 on the 4x4 grid's subsets).
+_GATHER_PAIRS = 1 << 16
 
 
 @functools.cache
 def _face_pairs(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices ``a`` and ``b`` of every pair of face-adjacent cells of a
     grid of ``shape``: cell ``b[i]`` follows cell ``a[i]`` along some axis.
-    The indices are ``intp``, which ``take`` reads without converting them."""
+    The indices are ``intp``, which ``take`` would otherwise convert on every
+    call; the two arrays hold about 16 bytes a cell per axis."""
     index = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
     pairs = [_neighbours(index, axis) for axis in range(len(shape))]
     empty = [index.ravel()[:0]]  # a 0-dimensional grid has no pairs
@@ -497,15 +499,15 @@ def _face_pairs(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _face_counts(occ: np.ndarray, dim: int):
     """Number of faces between adjacent cells of different occupancy."""
     lead, shape = occ.shape[: occ.ndim - dim], occ.shape[occ.ndim - dim:]
-    cells = math.prod(shape)
-    if cells > PAIR_TABLE_CELLS:
-        sets = tuple(range(len(lead), occ.ndim)) if lead else None
-        return sum(
-            np.count_nonzero(np.not_equal(*_neighbours(occ, axis)), axis=sets)
-            for axis in range(len(lead), occ.ndim)
-        )
     a, b = _face_pairs(shape)
-    flat = occ.reshape(lead + (cells,))
+    sets = math.prod(lead)
+    if sets > 1 and sets * len(a) > _GATHER_PAIRS:
+        step = max(1, _GATHER_PAIRS // len(a))
+        flat, counts = occ.reshape((sets,) + shape), np.empty(sets, dtype=np.intp)
+        for start in range(0, sets, step):
+            counts[start:start + step] = _face_counts(flat[start:start + step], dim)
+        return counts.reshape(lead)
+    flat = occ.reshape(lead + (-1,))
     differ = flat.take(a, axis=-1)
     differ ^= flat.take(b, axis=-1)  # != on booleans, in place
     return np.count_nonzero(differ, axis=-1 if lead else None)
@@ -625,7 +627,8 @@ class VoxelSet:
 
     Cell ``(a_1, ..., a_n)`` is the box ``prod [a_i/m, (a_i+1)/m]``; the
     array is indexed in that axis order.  A set is an immutable value: it
-    keeps a read-only copy of the occupancy it is given.
+    keeps a read-only copy of the occupancy it is given, and its attributes
+    cannot be rebound.
     """
 
     __slots__ = ("res", "cells")
@@ -637,17 +640,11 @@ class VoxelSet:
         if cells.shape != (res,) * cells.ndim:
             raise DimensionMismatchError("occupancy shape must be (m,)*n")
         cells.flags.writeable = False
-        self.res = res
-        self.cells = cells
+        object.__setattr__(self, "res", res)
+        object.__setattr__(self, "cells", cells)
 
-    @classmethod
-    def _owning(cls, res: int, cells: np.ndarray) -> "VoxelSet":
-        """The set of ``cells``, a new array of shape ``(res,) * n`` that no
-        one else holds; made read-only, not copied."""
-        cells.flags.writeable = False
-        v = object.__new__(cls)
-        v.res, v.cells = res, cells
-        return v
+    def __setattr__(self, name, value):  # immutable value type
+        raise AttributeError("VoxelSet is immutable")
 
     @property
     def dim(self) -> int:
@@ -691,7 +688,7 @@ class VoxelSet:
 
     def steiner(self, axis: int) -> "VoxelSet":
         """Push every column along ``axis`` down to an anchored run."""
-        return VoxelSet._owning(self.res, _steiner_cells(self.cells, self.dim, axis))
+        return VoxelSet(self.res, _steiner_cells(self.cells, self.dim, axis))
 
     def apply(self, iso: CubeIsometry) -> "VoxelSet":
         if iso.dim != self.dim:

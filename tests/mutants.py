@@ -72,6 +72,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "batches-gathered-whole",
+        "cubeiso/geometry.py",
+        "if sets > 1 and sets * len(a) > _GATHER_PAIRS:",
+        "if sets > 1 << 62 and sets * len(a) > _GATHER_PAIRS:",
+        (
+            "tests/test_search.py::TestBruteMin::test_general_minima_hold_no_more_memory_than_per_axis_counts",
+        ),
+    ),
+    Mutant(
+        "voxel-attributes-rebindable",
+        "cubeiso/geometry.py",
+        'raise AttributeError("VoxelSet is immutable")',
+        "object.__setattr__(self, name, value)",
+        ("tests/test_geometry.py::TestVoxel::test_voxel_set_is_an_immutable_value",),
+    ),
+    Mutant(
         "cross-axis-step-halves-64-times",
         "cubeiso/variation.py",
         "for _ in range(64 + sum(d.bit_length() for d in x._widths()[1])):",

@@ -1,7 +1,6 @@
 """Exact geometry kernel: canonical form, measures, sections, isometries."""
 
 import math
-import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import grid_or_rational_sets
 
+from cubeiso import geometry
 from cubeiso.errors import AlignmentError, DimensionMismatchError, DomainError, UnitCubeError
 from cubeiso.geometry import (
     CubeIsometry,
     CubicalSet,
-    PAIR_TABLE_CELLS,
     VoxelSet,
     _face_counts,
     _face_pairs,
@@ -337,7 +336,10 @@ class TestVoxel:
         assert v in held and v.count() == 0 and v == VoxelSet(2, np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             v.cells[0, 0] = True
-        assert v.count() == 0 and v in held
+        for name, value in (("cells", np.ones((2, 2), dtype=bool)), ("res", 1)):
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        assert v.count() == 0 and v.res == 2 and v in held
         for image in (v.steiner(0), v.apply(all_isometries(2)[3])):
             with pytest.raises(ValueError):
                 image.cells[0, 0] = True
@@ -369,11 +371,10 @@ def _steiner_by_cells(occ, axis):
 
 @st.composite
 def voxel_batches(draw):
-    """A batch of 1-3 voxel sets of one grid, dims 1-4 and res 1-8, and dim 4
-    at res 9, whose 6561 cells take the slice kernel; empty and full sets
-    included."""
+    """A batch of 1-3 voxel sets of one grid, dims 1-4 and res 1-8, empty and
+    full sets included."""
     dim = draw(st.integers(1, 4))
-    res = draw(st.integers(1, 9 if dim == 4 else 8))
+    res = draw(st.integers(1, 8))
     density = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0, 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.random((draw(st.integers(1, 3)),) + (res,) * dim) < density
@@ -406,25 +407,15 @@ def test_pair_table_is_built_once():
     assert not a.flags.writeable and not b.flags.writeable
 
 
-def test_large_grid_face_count_allocates_no_pair_table():
-    # above PAIR_TABLE_CELLS the kernel compares slice views, so it needs
-    # no more memory than one axis's comparison, as the slice kernel does
-    occ = np.random.default_rng(41).random((64, 64, 64)) < 0.5
-    assert occ.size > PAIR_TABLE_CELLS
-    v = VoxelSet(64, occ)
-
-    def slice_kernel():
-        return sum(int(np.count_nonzero(np.diff(occ, axis=axis))) for axis in range(3))
-
-    peaks = []
-    for count in (slice_kernel, v.face_count):
-        count()
-        tracemalloc.start()
-        faces = count()
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        assert faces == slice_kernel()
-    assert peaks[1] <= peaks[0] + 4096, peaks
+@pytest.mark.parametrize("gather", [1, 54, 120, 1 << 16])
+def test_batches_counted_in_chunks_match_their_sets(monkeypatch, gather):
+    # a 3^3 grid has 54 pairs: one set per chunk, two, or the whole batch
+    monkeypatch.setattr(geometry, "_GATHER_PAIRS", gather)
+    batch = np.random.default_rng(43).random((2, 5, 3, 3, 3)) < 0.5
+    faces = _face_counts(batch, 3)
+    assert faces.shape == (2, 5)
+    for index in np.ndindex(2, 5):
+        assert faces[index] == _faces_by_cells(batch[index])
 
 
 def _mask_cells_reference(masks, dim, res):

@@ -1,12 +1,14 @@
 """Lattice oracle: enumeration counts, discrete minima, strip problem."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from cubeiso import search
 from cubeiso.errors import DomainError, ResolutionCapError
-from cubeiso.geometry import VoxelSet, devoxelize
+from cubeiso.geometry import VoxelSet, _neighbours, devoxelize
 from cubeiso.search import (
     box_count,
     brute_min,
@@ -93,6 +95,29 @@ class TestBruteMin:
                 brute_min(3, 2, k).min_perimeter
                 == brute_min_general(3, 2, k).min_perimeter
             )
+
+    def test_general_minima_hold_no_more_memory_than_per_axis_counts(self, monkeypatch):
+        """Counting the faces of all 2^16 subsets of the 4x4 grid gathers its
+        pairs in chunks, so it peaks no higher than comparing slice views one
+        axis at a time."""
+
+        def per_axis(occ, dim):
+            sets = tuple(range(occ.ndim - dim, occ.ndim))
+            return sum(
+                np.count_nonzero(np.not_equal(*_neighbours(occ, axis)), axis=sets)
+                for axis in sets
+            )
+
+        peaks, minima = [], []
+        for kernel in (per_axis, search._face_counts):
+            monkeypatch.setattr(search, "_face_counts", kernel)
+            search._all_subsets_minima(2, 4)  # builds the shape's tables
+            tracemalloc.start()
+            minima.append(search._all_subsets_minima(2, 4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert minima[0] == minima[1]
+        assert peaks[1] <= peaks[0], peaks
 
     def test_sweep_matches_enumeration(self):
         """The row-transfer DP of ``brute_sweep`` reproduces the minima

@@ -68,14 +68,6 @@ class PreconditionError(CubeIsoError):
     relationship between its slices."""
 
 
-class IterationCapError(CubeIsoError):
-    """The reduction loop exceeded its iteration cap; carries the log."""
-
-    def __init__(self, message, log):
-        self.log = log
-        super().__init__(message)
-
-
 class NotSpecialError(CubeIsoError):
     """The set does not satisfy the special-set conditions."""
 

@@ -10,9 +10,11 @@ isometry maps them onto it.
 Since the subset lattice is closed under axis permutation and isometry
 equivalence is conjugation-invariant, auditing one symmetrization direction
 over all sets decides every direction; the 3D m=3 scan (2^27 sets) uses
-that reduction and a chunked bit-parallel pipeline.  The pipeline's lookup
-tables (column push, face counts, the isometries' bit maps) are built once
-from geometry's occupancy kernels, so geometry alone holds the rules.
+that reduction and a chunked bit-parallel pipeline.  The small grids are
+scanned as one batch of ``uint64`` masks with geometry's mask kernels, and
+the 3D m=3 pipeline builds its column tables from the same kernels, so
+geometry alone holds the rules.  Both map masks to their isometric images
+with per-isometry chunk tables.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import numpy as np
 from .errors import ResolutionCapError
 from .geometry import (
     VoxelSet,
-    _all_subsets,
-    _face_counts,
-    _mask_cells,
-    _steiner_cells,
+    _face_count,
+    _popcount,
+    _steiner,
     _transform_cells,
     all_isometries,
 )
@@ -50,24 +51,57 @@ class AuditOutcome:
         return not self.violations and not self.stopped_early
 
 
+@functools.cache
+def _iso_chunk_tables(dim: int, res: int, bits: int = 8, dtype=np.uint64) -> tuple:
+    """For each cube isometry, in the order of ``all_isometries``, one table
+    per chunk of ``bits`` source cells: entry ``v`` holds the image bits of
+    the chunk's cells that ``v`` sets.  An image of a mask is the OR of its
+    chunks' entries.  Built once per shape."""
+    n = res**dim
+    cells = np.arange(n).reshape((res,) * dim)
+    tables = []
+    for g in all_isometries(dim):
+        # bit j of the image reads source cell src[j], so source cell i
+        # lands on bit lands[i]
+        src = _transform_cells(cells, dim, g.perm, g.flip).ravel()
+        lands = np.empty(n, dtype=int)
+        lands[src] = np.arange(n)
+        chunks = []
+        for start in range(0, n, bits):
+            table = np.zeros(1, dtype=dtype)
+            for i in range(start, min(start + bits, n)):  # each cell doubles the table
+                table = np.concatenate([table, table | 1 << int(lands[i])])
+            chunks.append(table)
+        tables.append(tuple(chunks))
+    return tuple(tables)
+
+
 def _audit_small(dim: int, res: int, limit: int) -> AuditOutcome:
-    occ = _all_subsets(dim, res)
-    n = len(occ)
-    perim = _face_counts(occ, dim)
+    """The audit over every mask of a grid of at most 16 cells as one batch:
+    each isometric image is built from 8-bit chunks, one isometry at a time,
+    and compared with the Steiner images of every axis."""
+    masks = np.arange(1 << res**dim, dtype=np.uint64)
+    n = len(masks)
+    perim = _face_count(masks, dim, res)
+    syms = [_steiner(masks, dim, res, axis) for axis in range(dim)]
+    eqs = [perim == _face_count(sym, dim, res) for sym in syms]
+    del perim  # not held through the image loop, where the peak lies
+    chunks = [((masks >> start) & 0xFF).astype(np.intp) for start in range(0, res**dim, 8)]
+    matched = [np.zeros(n, dtype=bool) for _ in range(dim)]
+    for tables in _iso_chunk_tables(dim, res):
+        image = tables[0][chunks[0]]
+        for table, chunk in zip(tables[1:], chunks[1:]):
+            image |= table[chunk]
+        for sym, hit in zip(syms, matched):
+            hit |= image == sym
     violations = []
     preserved_total = 0
-    for axis in range(dim):
-        sym = _steiner_cells(occ, dim, axis)
-        eq = perim == _face_counts(sym, dim)
-        preserved_total += int(eq.sum())
-        matched = np.zeros(n, dtype=bool)
-        for g in all_isometries(dim):
-            tr = _transform_cells(occ, dim, g.perm, g.flip)
-            matched |= (tr == sym).reshape(n, -1).all(axis=1)
-        bad = np.flatnonzero(eq & ~matched)[: max(0, limit - len(violations))]
-        violations += [VoxelSet(res, c) for c in _mask_cells(bad, dim, res)]
+    for eq, hit in zip(eqs, matched):
+        preserved_total += int(np.count_nonzero(eq))
+        bad = masks[eq & ~hit][: max(0, limit - len(violations))]
+        violations += [VoxelSet.from_mask(dim, res, mask) for mask in bad]
         # sanity: isometric sets can never change perimeter
-        if np.any(matched & ~eq):
+        if np.any(hit & ~eq):
             raise AssertionError("isometric image changed the perimeter")
     return AuditOutcome(dim, res, n * dim, preserved_total, violations, False)
 
@@ -86,33 +120,16 @@ def _luts_3x3x3():
     """Per 3-cell column mask (bit ``i`` is cell ``i`` up the column): its
     Steiner push and its faces inside the column; per pair of masks
     (index ``8 a + b``), the faces between two adjacent columns."""
-    cols = _mask_cells(np.arange(8), 1, 3)
-    fill = np.packbits(_steiner_cells(cols, 1, 0), axis=1, bitorder="little")[:, 0]
-    caps = _face_counts(cols, 1)
-    diff = np.count_nonzero(cols[:, None] != cols[None, :], axis=2).reshape(64)
+    cols = np.arange(8, dtype=np.uint64)
+    fill = _steiner(cols, 1, 3, 0)
+    caps = _face_count(cols, 1, 3)
+    diff = _popcount(cols[:, None] ^ cols[None, :]).reshape(64)
     return fill.astype(np.uint32), caps.astype(np.uint32), diff.astype(np.uint32)
-
-
-@functools.cache
-def _iso_chunk_tables():
-    """For each cube isometry, three 512-entry tables mapping source bit
-    chunks to transformed 27-bit words."""
-    chunks = _mask_cells(np.arange(512), 2, 3).reshape(512, 9).astype(np.uint32)
-    cells = np.arange(27).reshape(3, 3, 3)
-    tables = []
-    for g in all_isometries(3):
-        # bit j of the image reads source cell src[j]: weigh each source
-        # cell with the bit it lands on
-        src = _transform_cells(cells, 3, g.perm, g.flip).ravel()
-        weight = np.zeros(27, dtype=np.uint32)
-        weight[src] = np.uint32(1) << np.arange(27, dtype=np.uint32)
-        tables.append(tuple(chunks @ w for w in weight.reshape(3, 9)))
-    return tuple(tables)
 
 
 def _audit_3x3x3(limit: int, stop_after: int) -> AuditOutcome:
     fill, caps, diff64 = _luts_3x3x3()
-    iso_tables = _iso_chunk_tables()
+    iso_tables = _iso_chunk_tables(3, 3, 9, np.uint32)
     x_pairs = [(c, c + 3) for c in range(6)]
     y_pairs = [(x * 3 + y, x * 3 + y + 1) for x in range(3) for y in range(2)]
     total = 1 << 27
@@ -147,7 +164,7 @@ def _audit_3x3x3(limit: int, stop_after: int) -> AuditOutcome:
             tr = t0[xs & 511] | t1[(xs >> 9) & 511] | t2[xs >> 18]
             matched |= tr == ss
         bad = np.flatnonzero(~matched)[: max(0, limit - len(violations))]
-        violations += [VoxelSet(3, c) for c in _mask_cells(xs[bad], 3, 3)]
+        violations += [VoxelSet.from_mask(3, 3, mask) for mask in xs[bad]]
         checked += len(masks)
         if stop_after and len(violations) >= stop_after:
             stopped = checked < total

@@ -23,11 +23,13 @@ from below and above differ in a cell of positive measure.  A set with at
 most one singular point per axis therefore lives on at most two cells per
 axis.
 
-The same occupancy kernels (face counts, the Steiner column push, signed
-axis permutations, the monotonicity test) serve :class:`VoxelSet` and
-batches of voxel sets: each acts on the trailing ``dim`` axes of a boolean
-array.  Integer masks decode to such batches, bit ``i`` holding the cell of
-flat index ``i``.
+A :class:`VoxelSet` is an integer mask, bit ``i`` holding the cell of flat
+index ``i`` of the regular grid.  Its kernels, the face count and the
+Steiner column push, are broadword operations written once: they take one
+set as a Python int of any size, or a batch of sets of at most 64 cells as
+a ``uint64`` array, and read strides and masks built once per grid shape.
+The signed axis permutations act on boolean occupancy arrays, which a voxel
+set decodes to on request.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -475,59 +478,6 @@ def _neighbours(occ: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return occ[before + (slice(None, -1),)], occ[before + (slice(1, None),)]
 
 
-# A batch of sets with more face-adjacent pairs than this is counted in chunks
-# of sets, each gathering at most this many pairs, so that a batch of 2^16
-# sets holds less memory than comparing one axis at a time (and 2^16 is the
-# fastest of 2^12 to 2^20 on the 4x4 grid's subsets).
-_GATHER_PAIRS = 1 << 16
-
-
-@functools.cache
-def _face_pairs(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices ``a`` and ``b`` of every pair of face-adjacent cells of a
-    grid of ``shape``: cell ``b[i]`` follows cell ``a[i]`` along some axis.
-    The indices are ``intp``, which ``take`` would otherwise convert on every
-    call; the two arrays hold about 16 bytes a cell per axis."""
-    index = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
-    pairs = [_neighbours(index, axis) for axis in range(len(shape))]
-    empty = [index.ravel()[:0]]  # a 0-dimensional grid has no pairs
-    a, b = (np.concatenate([p[k].ravel() for p in pairs] or empty) for k in (0, 1))
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
-
-
-def _face_counts(occ: np.ndarray, dim: int):
-    """Number of faces between adjacent cells of different occupancy."""
-    lead, shape = occ.shape[: occ.ndim - dim], occ.shape[occ.ndim - dim:]
-    a, b = _face_pairs(shape)
-    sets = math.prod(lead)
-    if sets > 1 and sets * len(a) > _GATHER_PAIRS:
-        step = max(1, _GATHER_PAIRS // len(a))
-        flat, counts = occ.reshape((sets,) + shape), np.empty(sets, dtype=np.intp)
-        for start in range(0, sets, step):
-            counts[start:start + step] = _face_counts(flat[start:start + step], dim)
-        return counts.reshape(lead)
-    flat = occ.reshape(lead + (-1,))
-    differ = flat.take(a, axis=-1)
-    differ ^= flat.take(b, axis=-1)  # != on booleans, in place
-    return np.count_nonzero(differ, axis=-1 if lead else None)
-
-
-@functools.cache
-def _ramp(length: int, trailing: int) -> np.ndarray:
-    """``0, 1, ..., length - 1`` along an axis with ``trailing`` axes after it."""
-    ramp = np.arange(length).reshape((-1,) + (1,) * trailing)
-    ramp.flags.writeable = False
-    return ramp
-
-
-def _steiner_cells(occ: np.ndarray, dim: int, axis: int) -> np.ndarray:
-    """Push every column along ``axis`` down to a run anchored at cell 0."""
-    axis -= dim
-    heights = np.add.reduce(occ, axis=axis, keepdims=True)
-    return _ramp(occ.shape[axis], -axis - 1) < heights
-
-
 def _transform_cells(occ: np.ndarray, dim: int, perm, flip) -> np.ndarray:
     """Signed axis permutation: axis ``i`` of the result reads source axis
     ``perm[i]``, reversed where ``flip[i]``."""
@@ -545,17 +495,85 @@ def _is_monotone_cells(occ: np.ndarray, dim: int) -> bool:
     return True
 
 
-def _mask_cells(masks, dim: int, res: int) -> np.ndarray:
-    """The voxel sets of integer masks as one batch: set ``k`` holds the
-    cell of flat index ``i`` exactly when bit ``i`` of ``masks[k]`` is set."""
-    words = np.ascontiguousarray(masks, dtype="<u8").reshape(-1, 1).view(np.uint8)
-    bits = np.unpackbits(words, axis=1, count=res**dim, bitorder="little")
-    return bits.view(bool).reshape((-1,) + (res,) * dim)
+# -- mask kernels: bit ``i`` of a mask holds the cell of flat index ``i`` -------
+#
+# Each kernel takes one voxel set as a Python int, of any size, or a batch of
+# sets of at most 64 cells as a ``uint64`` array, and runs the same broadword
+# operations on both (Knuth, TAOCP 4A, 7.1.3).  Shift amounts and masks stay
+# Python ints, which NumPy casts to the array's ``uint64``; an ``np.uint64``
+# of a mask would cut it to 64 bits.
+
+_BYTE_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_BYTE_SUM = 0x0101010101010101  # eight byte counts times this: their sum in the top byte
 
 
-def _all_subsets(dim: int, res: int) -> np.ndarray:
-    """Every subset of the m^n grid as one batch, set ``k`` of mask ``k``."""
-    return _mask_cells(np.arange(1 << res**dim, dtype=np.uint64), dim, res)
+def _popcount(x):
+    """The set bits of an int, or of every word of a ``uint64`` array."""
+    if isinstance(x, int):
+        return x.bit_count()
+    counts = _BYTE_COUNTS[np.ascontiguousarray(x, dtype=np.uint64).view(np.uint8)]
+    total = counts.view(np.uint64)
+    total *= _BYTE_SUM
+    total >>= 56
+    return total
+
+
+@functools.cache
+def _axis_masks(dim: int, res: int) -> tuple[tuple[int, int, int], ...]:
+    """Per axis of the ``res^dim`` grid: the flat stride of a step along it,
+    the mask of the cells that have a successor along it, and the mask of
+    its bottom level plane; built once per shape."""
+    return tuple(
+        (res ** (dim - 1 - axis), _cells_mask(level < res - 1), _cells_mask(level == 0))
+        for axis, level in enumerate(np.indices((res,) * dim))
+    )
+
+
+def _face_count(x, dim: int, res: int):
+    """Number of faces between adjacent cells of different occupancy: per
+    axis, the cells that differ from their successor."""
+    total = 0
+    for stride, succ, _ in _axis_masks(dim, res):
+        differ = x >> stride  # a new int or array: the steps below leave x alone
+        differ ^= x
+        differ &= succ
+        total += _popcount(differ)
+    return total
+
+
+def _steiner(x, dim: int, res: int, axis: int):
+    """Push every column along ``axis`` down to a run anchored at cell 0.
+
+    The ``res`` level planes, shifted onto the bottom one, are sorted by an
+    odd-even transposition sort, which needs ``res`` rounds; on bit planes a
+    compare-exchange is one OR (the lower plane) and one AND (the upper)."""
+    stride, _, bottom = _axis_masks(dim, res)[axis]
+    planes = [(x >> (k * stride)) & bottom for k in range(res)]
+    for phase in range(res):
+        for k in range(phase % 2, res - 1, 2):
+            both = planes[k] & planes[k + 1]
+            planes[k] |= planes[k + 1]
+            planes[k + 1] = both
+    out = planes.pop()
+    while planes:
+        out <<= stride
+        out |= planes.pop()
+    return out
+
+
+def _cells_mask(cells: np.ndarray) -> int:
+    """The mask of a boolean occupancy, its cells read in flat (C) order."""
+    packed = np.packbits(cells, axis=None, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _mask_cells(mask: int, dim: int, res: int) -> np.ndarray:
+    """The read-only boolean occupancy of a mask."""
+    n = res**dim
+    data = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    cells = np.unpackbits(data, count=n, bitorder="little").view(bool)
+    cells.flags.writeable = False
+    return cells.reshape((res,) * dim)
 
 
 # -- isometries of the cube -------------------------------------------------
@@ -623,72 +641,82 @@ def equal_up_to_isometry(
 
 
 class VoxelSet:
-    """Occupancy of the regular m^n grid on [0,1]^n.
+    """Occupancy of the regular m^n grid on [0,1]^n, held as an integer mask.
 
-    Cell ``(a_1, ..., a_n)`` is the box ``prod [a_i/m, (a_i+1)/m]``; the
-    array is indexed in that axis order.  A set is an immutable value: it
-    keeps a read-only copy of the occupancy it is given, and its attributes
-    cannot be rebound.
+    Cell ``(a_1, ..., a_n)`` is the box ``prod [a_i/m, (a_i+1)/m]``, and bit
+    ``i`` of ``mask`` holds the cell of flat index ``i`` in that axis order.
+    ``cells`` decodes the mask to a read-only boolean array on each read.  A
+    set is an immutable value: equal when its shape and mask are.
     """
 
-    __slots__ = ("res", "cells")
+    __slots__ = ("res", "dim", "mask")
 
     def __init__(self, res: int, cells: np.ndarray):
         if res < 1:
             raise DomainError("resolution must be >= 1")
-        cells = np.array(cells, dtype=bool, order="C")
+        cells = np.asarray(cells, dtype=bool)
         if cells.shape != (res,) * cells.ndim:
             raise DimensionMismatchError("occupancy shape must be (m,)*n")
-        cells.flags.writeable = False
-        object.__setattr__(self, "res", res)
-        object.__setattr__(self, "cells", cells)
+        _set_fields(self, res, cells.ndim, _cells_mask(cells))
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("VoxelSet is immutable")
 
-    @property
-    def dim(self) -> int:
-        return self.cells.ndim
+    @staticmethod
+    def from_mask(dim: int, res: int, mask: int) -> "VoxelSet":
+        """The set of the cells whose bits ``mask`` sets."""
+        mask = operator.index(mask)
+        if res < 1:
+            raise DomainError("resolution must be >= 1")
+        if mask < 0 or mask >> res**dim:
+            raise DomainError(f"the mask sets a bit outside the {res**dim} cells of the grid")
+        return _voxel(dim, res, mask)
 
     @staticmethod
     def from_indices(dim: int, res: int, flat: Iterable[int]) -> "VoxelSet":
-        occ = np.zeros(res**dim, dtype=bool)
+        mask = 0
         for i in flat:
             if not 0 <= i < res**dim:
                 raise DomainError(f"cell index {i} out of range")
-            occ[i] = True
-        return VoxelSet(res, occ.reshape((res,) * dim))
+            mask |= 1 << i
+        return VoxelSet.from_mask(dim, res, mask)
+
+    @property
+    def cells(self) -> np.ndarray:
+        return _mask_cells(self.mask, self.dim, self.res)
 
     def flat_indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.cells.ravel())]
+        return np.flatnonzero(self.cells).tolist()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VoxelSet)
+            and self.mask == other.mask
             and self.res == other.res
-            and self.cells.shape == other.cells.shape
-            and self.cells.tobytes() == other.cells.tobytes()
+            and self.dim == other.dim
         )
 
     def __hash__(self):
-        return hash((self.res, self.dim, self.cells.tobytes()))
+        return hash((self.res, self.dim, self.mask))
 
     def count(self) -> int:
-        return int(np.count_nonzero(self.cells))
+        return self.mask.bit_count()
 
     def volume(self) -> Fraction:
         return Fraction(self.count(), self.res**self.dim)
 
     def face_count(self) -> int:
         """Number of interior cell faces on the boundary (cube walls excluded)."""
-        return int(_face_counts(self.cells, self.dim))
+        return _face_count(self.mask, self.dim, self.res)
 
     def relative_perimeter(self) -> Fraction:
         return Fraction(self.face_count(), self.res ** (self.dim - 1))
 
     def steiner(self, axis: int) -> "VoxelSet":
         """Push every column along ``axis`` down to an anchored run."""
-        return VoxelSet(self.res, _steiner_cells(self.cells, self.dim, axis))
+        if not 0 <= axis < self.dim:
+            raise DomainError(f"axis {axis} out of range for dim {self.dim}")
+        return _voxel(self.dim, self.res, _steiner(self.mask, self.dim, self.res, axis))
 
     def apply(self, iso: CubeIsometry) -> "VoxelSet":
         if iso.dim != self.dim:
@@ -699,13 +727,27 @@ class VoxelSet:
 
     def orbit_key(self) -> bytes:
         """Lexicographically smallest occupancy bytes over the full group."""
+        cells = self.cells
         return min(
-            _transform_cells(self.cells, self.dim, g.perm, g.flip).tobytes()
+            _transform_cells(cells, self.dim, g.perm, g.flip).tobytes()
             for g in all_isometries(self.dim)
         )
 
     def to_cubical(self) -> CubicalSet:
         return devoxelize(self)
+
+
+def _set_fields(v: VoxelSet, res: int, dim: int, mask: int) -> None:
+    object.__setattr__(v, "res", res)
+    object.__setattr__(v, "dim", dim)
+    object.__setattr__(v, "mask", mask)
+
+
+def _voxel(dim: int, res: int, mask: int) -> VoxelSet:
+    """The voxel set of a mask known to lie in the grid, unchecked."""
+    v = object.__new__(VoxelSet)
+    _set_fields(v, res, dim, mask)
+    return v
 
 
 def voxelize(x: CubicalSet, res: int) -> VoxelSet:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, ResolutionCapError
-from .geometry import VoxelSet, _all_subsets, _face_counts, _mask_cells
+from .geometry import VoxelSet, _face_count, _popcount
 
 __all__ = [
     "MonotoneShape",
@@ -174,7 +174,7 @@ def _dedup_orbits(sets: Iterable[VoxelSet]) -> tuple[VoxelSet, ...]:
     for v in sets:
         key = v.orbit_key()
         if key not in reps:
-            reps[key] = VoxelSet(v.res, np.frombuffer(key, dtype=bool).reshape(v.cells.shape))
+            reps[key] = VoxelSet(v.res, np.frombuffer(key, dtype=bool).reshape((v.res,) * v.dim))
     return tuple(reps[k] for k in sorted(reps))
 
 
@@ -239,17 +239,18 @@ def brute_min(dim: int, res: int, cells: int) -> BruteResult:
 
 
 def _all_subsets_minima(dim: int, res: int) -> dict:
-    """Per-cell-count minima over every voxel subset (vectorized)."""
+    """Per-cell-count minima over every voxel subset, as masks, counted in
+    one batch."""
     n_cells = res**dim
-    occ = _all_subsets(dim, res)
-    counts = occ.reshape(len(occ), -1).sum(axis=1)
-    faces = _face_counts(occ, dim)
+    masks = np.arange(1 << n_cells, dtype=np.uint64)
+    faces = _face_count(masks, dim, res)
+    counts = _popcount(masks)
     out: dict[int, tuple[int, list]] = {}
     for k in range(n_cells + 1):
         sel = counts == k
         fmin = int(faces[sel].min())
         idx = np.flatnonzero(sel & (faces == fmin))
-        out[k] = (fmin, [int(i) for i in idx])
+        out[k] = (fmin, masks[idx].tolist())
     return out
 
 
@@ -275,7 +276,7 @@ def brute_min_general(dim: int, res: int, cells: int) -> BruteResult:
             "cell count must lie in [0, m^n / 2]; complement the rest"
         )
     faces, masks = _general_sweep(dim, res)[cells]
-    sets = (VoxelSet(res, c) for c in _mask_cells(masks, dim, res))
+    sets = (VoxelSet.from_mask(dim, res, mask) for mask in masks)
     return BruteResult(
         dim,
         res,

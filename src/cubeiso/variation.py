@@ -41,7 +41,6 @@ from .errors import (
     DomainError,
     EventError,
     InternalCheckError,
-    IterationCapError,
     NonSingularError,
     NotSymmetrizedError,
     PreconditionError,
@@ -67,7 +66,6 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-_CAP_PER_SLICE = 16  # reduction steps allowed per interior singular point and axis
 
 
 def monotone_relative_perimeter(x: CubicalSet) -> Fraction:
@@ -475,14 +473,20 @@ class ReductionStep:
     d_volume: Fraction
 
 
+def _interior_cuts(x: CubicalSet) -> int:
+    """The number of interior cuts over all axes: the singular points."""
+    return sum(len(g) - 2 for g in x.grids)
+
+
 def reduce_to_special(x: CubicalSet) -> tuple[CubicalSet, list[ReductionStep]]:
     """Symmetrize, then merge or improve singular slices direction by
     direction until at most one interior singular point per axis remains.
 
     Volume is preserved exactly and relative perimeter never increases; the
     log records one step per motion with exact deltas.  Every motion lands a
-    moving plane on another plane or a wall, so the total interior singular
-    count strictly decreases each step; the iteration cap is a safeguard.
+    moving plane on another plane or a wall, so the number of interior cuts
+    strictly decreases each step, which bounds the loop by its initial
+    value; a step that does not lower it raises :class:`InternalCheckError`.
     """
     if not (ZERO < x.volume() <= HALF):
         raise DomainError("reduction requires volume in (0, 1/2]")
@@ -490,15 +494,10 @@ def reduce_to_special(x: CubicalSet) -> tuple[CubicalSet, list[ReductionStep]]:
     d_per = y.relative_perimeter() - x.relative_perimeter()
     log = [ReductionStep("symmetrize", None, (), (), ZERO, d_per, ZERO)]
 
-    cap = _CAP_PER_SLICE * sum(len(g) - 1 for g in y.grids)
-    steps = 0
     while True:
         axis = next((i for i, g in enumerate(y.grids) if len(g) > 3), None)
         if axis is None:
             break
-        steps += 1
-        if steps > cap:
-            raise IterationCapError(f"reduction exceeded {cap} steps", log)
         data = [_slice_from_profile(y, axis, k) for k in range(1, len(y.grids[axis]) - 1)]
         pair = next(
             (p for p in itertools.combinations(data, 2) if p[0].first_var == p[1].first_var),
@@ -515,6 +514,8 @@ def reduce_to_special(x: CubicalSet) -> tuple[CubicalSet, list[ReductionStep]]:
         d_per = z.relative_perimeter() - y.relative_perimeter()
         if d_per > 0 or z.volume() != y.volume():
             raise InternalCheckError("reduction step violated its contract")
+        if _interior_cuts(z) >= _interior_cuts(y):
+            raise InternalCheckError(f"{kind} step did not lower the number of interior cuts")
         moved = (info.grow_from, info.shrink_from), (info.grow_to, info.shrink_to)
         log.append(ReductionStep(kind, axis, *moved, info.exchanged, d_per, ZERO))
         y = z

@@ -41,44 +41,75 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "pair-table-misses-last-axis",
+        "face-count-misses-last-axis",
         "cubeiso/geometry.py",
-        "pairs = [_neighbours(index, axis) for axis in range(len(shape))]",
-        "pairs = [_neighbours(index, axis) for axis in range(len(shape) - 1)]",
+        "for stride, succ, _ in _axis_masks(dim, res):",
+        "for stride, succ, _ in _axis_masks(dim, res)[:-1]:",
         (
             "tests/test_geometry.py::test_kernels_match_per_cell_loops",
-            "tests/test_geometry.py::test_pair_table_is_built_once",
             "tests/test_geometry.py::TestVoxel::test_face_count_matches_sweep",
+            "tests/test_exhaustive.py::test_small_audit_matches_the_cell_array_reference[2-4]",
         ),
     ),
     Mutant(
-        "steiner-ramp-at-or-below-height",
+        "compare-exchange-and-to-lower-plane",
         "cubeiso/geometry.py",
-        "return _ramp(occ.shape[axis], -axis - 1) < heights",
-        "return _ramp(occ.shape[axis], -axis - 1) <= heights",
+        "both = planes[k] & planes[k + 1]\n            planes[k] |= planes[k + 1]",
+        "both = planes[k] | planes[k + 1]\n            planes[k] &= planes[k + 1]",
         (
             "tests/test_geometry.py::test_kernels_match_per_cell_loops",
             "tests/test_exhaustive.py::test_column_tables_match_the_written_out_formulas",
         ),
     ),
     Mutant(
-        "count-reads-empty-cells",
+        "count-over-complement",
         "cubeiso/geometry.py",
-        "return int(np.count_nonzero(self.cells))",
-        "return int(np.count_nonzero(~self.cells))",
+        "return self.mask.bit_count()",
+        "return ((1 << self.res**self.dim) - 1 ^ self.mask).bit_count()",
         (
             "tests/test_geometry.py::TestVoxel::test_roundtrip",
             "tests/test_geometry.py::TestVoxel::test_voxel_set_is_an_immutable_value",
+            "tests/test_geometry.py::TestVoxel::test_cells_and_mask_round_trip",
         ),
     ),
     Mutant(
-        "batches-gathered-whole",
-        "cubeiso/geometry.py",
-        "if sets > 1 and sets * len(a) > _GATHER_PAIRS:",
-        "if sets > 1 << 62 and sets * len(a) > _GATHER_PAIRS:",
+        "iso-chunk-table-one-bit-off",
+        "cubeiso/exhaustive.py",
+        "table = np.concatenate([table, table | 1 << int(lands[i])])",
+        "table = np.concatenate([table, table | 2 << int(lands[i])])",
         (
-            "tests/test_search.py::TestBruteMin::test_general_minima_hold_no_more_memory_than_per_axis_counts",
+            "tests/test_exhaustive.py::test_iso_chunk_tables_match_the_written_out_loops",
+            "tests/test_exhaustive.py::test_iso_chunk_tables_map_masks_to_their_images[3-3]",
+            "tests/test_exhaustive.py::test_small_audit_matches_the_cell_array_reference[2-4]",
         ),
+    ),
+    Mutant(
+        "reversed-isometry-weights",
+        "cubeiso/exhaustive.py",
+        "lands[src] = np.arange(n)",
+        "lands[np.arange(n)] = src",
+        (
+            "tests/test_exhaustive.py::test_iso_chunk_tables_match_the_written_out_loops",
+            "tests/test_exhaustive.py::test_iso_chunk_tables_map_masks_to_their_images[3-3]",
+        ),
+    ),
+    Mutant(
+        "mask-decoded-big-endian",
+        "cubeiso/geometry.py",
+        'np.unpackbits(data, count=n, bitorder="little")',
+        'np.unpackbits(data, count=n, bitorder="big")',
+        (
+            "tests/test_geometry.py::TestMaskCells::test_every_mask_of_small_grids[2-3]",
+            "tests/test_geometry.py::TestMaskCells::test_random_27_bit_words",
+            "tests/test_geometry.py::TestVoxel::test_cells_and_mask_round_trip",
+        ),
+    ),
+    Mutant(
+        "orbit-key-takes-max",
+        "cubeiso/geometry.py",
+        "return min(\n            _transform_cells(cells, self.dim, g.perm, g.flip).tobytes()",
+        "return max(\n            _transform_cells(cells, self.dim, g.perm, g.flip).tobytes()",
+        ("tests/test_geometry.py::TestVoxel::test_orbit_key_is_the_least_image",),
     ),
     Mutant(
         "voxel-attributes-rebindable",

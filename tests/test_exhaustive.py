@@ -7,14 +7,18 @@ audit must find such counterexamples and every reported counterexample must
 be genuine.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cubeiso.exhaustive import _iso_chunk_tables, _luts_3x3x3, equality_case_audit
 from cubeiso.geometry import (
     VoxelSet,
-    _face_counts,
-    _steiner_cells,
+    _face_count,
+    _neighbours,
+    _steiner,
+    _transform_cells,
     all_isometries,
     devoxelize,
 )
@@ -78,10 +82,8 @@ def test_3d_m3_stopped_scan_counts_what_it_checked():
     assert out.stopped_early and len(out.violations) == 4
     n = out.checked
     assert 0 < n < 1 << 27
-    masks = np.arange(n, dtype=np.uint64)[:, None]
-    bits = (masks >> np.arange(27, dtype=np.uint64)) & np.uint64(1)
-    occ = bits.astype(bool).reshape(n, 3, 3, 3)
-    preserved = _face_counts(occ, 3) == _face_counts(_steiner_cells(occ, 3, 2), 3)
+    masks = np.arange(n, dtype=np.uint64)
+    preserved = _face_count(masks, 3, 3) == _face_count(_steiner(masks, 3, 3, 2), 3, 3)
     assert out.perimeter_preserving == int(preserved.sum())
 
 
@@ -138,13 +140,74 @@ def test_column_tables_match_the_written_out_formulas():
 
 
 def test_iso_chunk_tables_match_the_written_out_loops():
-    derived = _iso_chunk_tables()
+    derived = _iso_chunk_tables(3, 3, 9, np.uint32)
     reference = _iso_chunk_tables_reference()
     assert len(derived) == len(reference) == 48
     for tabs, ref_tabs in zip(derived, reference):
         for tab, ref in zip(tabs, ref_tabs, strict=True):
             assert tab.dtype == np.uint32
             assert np.array_equal(tab, ref)
+
+
+@pytest.mark.parametrize("dim,res", [(1, 5), (2, 3), (2, 4), (3, 2), (3, 3), (2, 8), (3, 4)])
+def test_iso_chunk_tables_map_masks_to_their_images(dim, res):
+    rng = np.random.default_rng(47)
+    masks = rng.integers(0, 2**64, size=40, dtype=np.uint64) >> (64 - res**dim)
+    chunks = [(masks >> start) & 0xFF for start in range(0, res**dim, 8)]
+    for g, tables in zip(all_isometries(dim), _iso_chunk_tables(dim, res), strict=True):
+        assert all(t.dtype == np.uint64 and len(t) <= 256 for t in tables)
+        images = np.bitwise_or.reduce([t[c] for t, c in zip(tables, chunks, strict=True)])
+        for mask, image in zip(masks.tolist(), images.tolist()):
+            assert image == VoxelSet.from_mask(dim, res, mask).apply(g).mask
+
+
+def _audit_small_reference(dim, res, limit):
+    """The audit on boolean cell arrays, one batch of every subset, with
+    per-axis slice comparisons for faces and a height ramp for Steiner."""
+    n_cells = res**dim
+    words = np.arange(1 << n_cells, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    bits = np.unpackbits(words, axis=1, count=n_cells, bitorder="little")
+    occ = bits.view(bool).reshape((-1,) + (res,) * dim)
+    n = len(occ)
+    grid = tuple(range(1, dim + 1))
+
+    def faces(cells):
+        return sum(np.count_nonzero(np.not_equal(*_neighbours(cells, a)), axis=grid) for a in grid)
+
+    perim = faces(occ)
+    violations, preserved_total = [], 0
+    for axis in range(dim):
+        heights = occ.sum(axis=axis + 1, keepdims=True)
+        sym = np.arange(res).reshape((-1,) + (1,) * (dim - 1 - axis)) < heights
+        eq = perim == faces(sym)
+        preserved_total += int(eq.sum())
+        matched = np.zeros(n, dtype=bool)
+        for g in all_isometries(dim):
+            tr = _transform_cells(occ, dim, g.perm, g.flip)
+            matched |= (tr == sym).reshape(n, -1).all(axis=1)
+        bad = np.flatnonzero(eq & ~matched)[: max(0, limit - len(violations))]
+        violations += [np.flatnonzero(occ[k]).tolist() for k in bad]
+    return n * dim, preserved_total, violations
+
+
+@pytest.mark.parametrize("dim,res", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_small_audit_matches_the_cell_array_reference(dim, res):
+    out = equality_case_audit(dim, res, limit=7)
+    checked, preserved, violations = _audit_small_reference(dim, res, 7)
+    assert (out.checked, out.perimeter_preserving) == (checked, preserved)
+    assert [v.flat_indices() for v in out.violations] == violations
+    assert not out.stopped_early
+
+
+def test_small_audit_holds_no_more_memory_than_the_cell_array_reference():
+    peaks = []
+    for audit in (_audit_small_reference, equality_case_audit):
+        audit(2, 4, 5)  # builds the shape's tables
+        tracemalloc.start()
+        audit(2, 4, 5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
 
 
 def test_resolution_cap():

@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import grid_or_rational_sets
 
-from cubeiso import geometry
 from cubeiso.errors import AlignmentError, DimensionMismatchError, DomainError, UnitCubeError
 from cubeiso.geometry import (
     CubeIsometry,
     CubicalSet,
     VoxelSet,
-    _face_counts,
-    _face_pairs,
+    _axis_masks,
+    _face_count,
     _mask_cells,
-    _steiner_cells,
+    _steiner,
     all_isometries,
     boundary_faces,
     box,
@@ -336,7 +335,7 @@ class TestVoxel:
         assert v in held and v.count() == 0 and v == VoxelSet(2, np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             v.cells[0, 0] = True
-        for name, value in (("cells", np.ones((2, 2), dtype=bool)), ("res", 1)):
+        for name, value in (("cells", np.ones((2, 2), dtype=bool)), ("res", 1), ("mask", 1)):
             with pytest.raises(AttributeError):
                 setattr(v, name, value)
         assert v.count() == 0 and v.res == 2 and v in held
@@ -347,6 +346,35 @@ class TestVoxel:
     def test_counts_are_python_ints(self):
         v = VoxelSet(3, np.eye(3, dtype=bool))
         assert type(v.count()) is int and type(v.face_count()) is int
+
+    def test_cells_and_mask_round_trip(self):
+        rng = np.random.default_rng(41)
+        for dim, m in ((1, 1), (1, 7), (2, 8), (3, 4), (3, 5), (4, 3)):
+            cells = rng.random((m,) * dim) < 0.5
+            v = VoxelSet(m, cells)
+            assert np.array_equal(v.cells, cells) and not v.cells.flags.writeable
+            assert VoxelSet(v.res, v.cells) == v
+            assert VoxelSet.from_mask(dim, m, v.mask) == v
+            assert VoxelSet.from_indices(dim, m, v.flat_indices()) == v
+            assert v.mask == sum(1 << i for i in np.flatnonzero(cells).tolist())
+            assert v.count() == np.count_nonzero(cells)
+
+    def test_mask_constructor_checks_its_range(self):
+        assert VoxelSet.from_mask(2, 3, (1 << 9) - 1) == VoxelSet(3, np.ones((3, 3), dtype=bool))
+        assert VoxelSet.from_mask(3, 5, np.uint64(6)).mask == 6
+        for dim, res, mask in ((2, 3, 1 << 9), (2, 3, -1), (3, 5, 1 << 200), (1, 1, 2)):
+            with pytest.raises(DomainError):
+                VoxelSet.from_mask(dim, res, mask)
+        with pytest.raises(DomainError):
+            VoxelSet.from_mask(2, 0, 0)
+        with pytest.raises(DomainError):
+            VoxelSet.from_indices(2, 3, [9])
+
+    def test_steiner_axis_is_checked(self):
+        v = VoxelSet(3, np.eye(3, dtype=bool))
+        for axis in (-1, 2):
+            with pytest.raises(DomainError):
+                v.steiner(axis)
 
 
 def _faces_by_cells(occ):
@@ -371,8 +399,8 @@ def _steiner_by_cells(occ, axis):
 
 @st.composite
 def voxel_batches(draw):
-    """A batch of 1-3 voxel sets of one grid, dims 1-4 and res 1-8, empty and
-    full sets included."""
+    """A batch of 1-3 voxel sets of one grid, dims 1-4 and res 1-8 (up to
+    4096 cells), empty and full sets included."""
     dim = draw(st.integers(1, 4))
     res = draw(st.integers(1, 8))
     density = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0, 1))
@@ -383,59 +411,59 @@ def voxel_batches(draw):
 @settings(max_examples=80, deadline=None)
 @given(voxel_batches())
 def test_kernels_match_per_cell_loops(batch):
-    dim = batch.ndim - 1
-    faces = _face_counts(batch, dim)
-    images = [_steiner_cells(batch, dim, axis) for axis in range(dim)]
-    for k, occ in enumerate(batch):
-        assert faces[k] == _face_counts(occ, dim) == _faces_by_cells(occ)
+    """The mask kernels on one set as a Python int, for grids of any size,
+    and on a ``uint64`` batch of every grid of at most 64 cells."""
+    dim, res = batch.ndim - 1, batch.shape[1]
+    sets = [VoxelSet(res, occ) for occ in batch]
+    for v, occ in zip(sets, batch):
+        assert _face_count(v.mask, dim, res) == _faces_by_cells(occ)
         for axis in range(dim):
-            image = _steiner_cells(occ, dim, axis)
-            assert np.array_equal(image, _steiner_by_cells(occ, axis))
-            assert np.array_equal(images[axis][k], image)
+            image = _steiner(v.mask, dim, res, axis)
+            assert np.array_equal(_mask_cells(image, dim, res), _steiner_by_cells(occ, axis))
+    if res**dim <= 64:
+        words = np.array([v.mask for v in sets], dtype=np.uint64)
+        faces = _face_count(words, dim, res)
+        assert faces.dtype == np.uint64
+        assert faces.tolist() == [_face_count(v.mask, dim, res) for v in sets]
+        for axis in range(dim):
+            images = _steiner(words, dim, res, axis)
+            assert images.tolist() == [_steiner(v.mask, dim, res, axis) for v in sets]
+        assert np.array_equal(words, [v.mask for v in sets])  # the batch is left alone
 
 
-def test_pair_table_is_built_once():
+def test_shape_tables_are_built_once():
     rng = np.random.default_rng(37)
     VoxelSet(5, rng.random((5, 5, 5)) < 0.5).face_count()
-    built = _face_pairs.cache_info().misses
+    built = _axis_masks.cache_info().misses
     for _ in range(3):
-        VoxelSet(5, rng.random((5, 5, 5)) < 0.5).face_count()
-    assert _face_pairs.cache_info().misses == built
-    a, b = _face_pairs((5, 5, 5))
-    assert _face_pairs((5, 5, 5))[0] is a
-    assert len(a) == len(b) == 3 * 5 * 5 * 4
-    assert not a.flags.writeable and not b.flags.writeable
+        v = VoxelSet(5, rng.random((5, 5, 5)) < 0.5)
+        v.face_count(), v.steiner(2)
+    assert _axis_masks.cache_info().misses == built
+    tables = _axis_masks(3, 5)
+    assert _axis_masks(3, 5) is tables
+    assert [stride for stride, _, _ in tables] == [25, 5, 1]
+    for stride, succ, bottom in tables:
+        assert succ.bit_count() == 4 * 25 and bottom.bit_count() == 25
 
 
-@pytest.mark.parametrize("gather", [1, 54, 120, 1 << 16])
-def test_batches_counted_in_chunks_match_their_sets(monkeypatch, gather):
-    # a 3^3 grid has 54 pairs: one set per chunk, two, or the whole batch
-    monkeypatch.setattr(geometry, "_GATHER_PAIRS", gather)
-    batch = np.random.default_rng(43).random((2, 5, 3, 3, 3)) < 0.5
-    faces = _face_counts(batch, 3)
-    assert faces.shape == (2, 5)
-    for index in np.ndindex(2, 5):
-        assert faces[index] == _faces_by_cells(batch[index])
-
-
-def _mask_cells_reference(masks, dim, res):
-    """Bit ``i`` of each mask, by shifts, as one flat cell per bit."""
-    n = res**dim
-    flat = [[bool(int(mask) >> i & 1) for i in range(n)] for mask in masks]
-    return np.array(flat, dtype=bool).reshape((len(flat),) + (res,) * dim)
+def _mask_cells_reference(mask, dim, res):
+    """Bit ``i`` of the mask, by shifts, as one flat cell per bit."""
+    flat = [bool(mask >> i & 1) for i in range(res**dim)]
+    return np.array(flat, dtype=bool).reshape((res,) * dim)
 
 
 class TestMaskCells:
     @pytest.mark.parametrize("dim,res", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 2)])
     def test_every_mask_of_small_grids(self, dim, res):
-        masks = np.arange(1 << res**dim, dtype=np.uint64)
-        assert np.array_equal(_mask_cells(masks, dim, res), _mask_cells_reference(masks, dim, res))
+        for mask in range(1 << res**dim):
+            assert np.array_equal(_mask_cells(mask, dim, res), _mask_cells_reference(mask, dim, res))
 
     def test_random_27_bit_words(self):
         rng = np.random.default_rng(31)
-        words = rng.integers(0, 1 << 27, size=500, dtype=np.uint32)
-        assert np.array_equal(_mask_cells(words, 3, 3), _mask_cells_reference(words, 3, 3))
-        assert _mask_cells([], 3, 3).shape == (0, 3, 3, 3)
+        for mask in rng.integers(0, 1 << 27, size=500).tolist():
+            assert np.array_equal(_mask_cells(mask, 3, 3), _mask_cells_reference(mask, 3, 3))
+        for mask in (0, (1 << 343) - 1, 1 << 342, rng.integers(0, 1 << 62) << 280):
+            assert np.array_equal(_mask_cells(int(mask), 3, 7), _mask_cells_reference(int(mask), 3, 7))
 
 
 class TestHigherDim:

@@ -97,20 +97,23 @@ class TestBruteMin:
             )
 
     def test_general_minima_hold_no_more_memory_than_per_axis_counts(self, monkeypatch):
-        """Counting the faces of all 2^16 subsets of the 4x4 grid gathers its
-        pairs in chunks, so it peaks no higher than comparing slice views one
-        axis at a time."""
+        """Counting the faces of all 2^16 subsets of the 4x4 grid on their
+        masks peaks no higher than decoding the masks to cells and comparing
+        slice views one axis at a time."""
 
-        def per_axis(occ, dim):
-            sets = tuple(range(occ.ndim - dim, occ.ndim))
+        def per_axis(masks, dim, res):
+            bytes_ = np.ascontiguousarray(masks, dtype="<u8").reshape(-1, 1).view(np.uint8)
+            bits = np.unpackbits(bytes_, axis=1, count=res**dim, bitorder="little")
+            occ = bits.view(bool).reshape((-1,) + (res,) * dim)
+            sets = tuple(range(1, dim + 1))
             return sum(
                 np.count_nonzero(np.not_equal(*_neighbours(occ, axis)), axis=sets)
                 for axis in sets
             )
 
         peaks, minima = [], []
-        for kernel in (per_axis, search._face_counts):
-            monkeypatch.setattr(search, "_face_counts", kernel)
+        for kernel in (per_axis, search._face_count):
+            monkeypatch.setattr(search, "_face_count", kernel)
             search._all_subsets_minima(2, 4)  # builds the shape's tables
             tracemalloc.start()
             minima.append(search._all_subsets_minima(2, 4))

@@ -13,7 +13,7 @@ from strategies import grid_or_rational_sets, two_cell_sets
 from cubeiso.errors import (
     DomainError,
     EventError,
-    IterationCapError,
+    InternalCheckError,
     NonSingularError,
     NotSymmetrizedError,
     PreconditionError,
@@ -575,18 +575,29 @@ def test_joint_motion_matches_the_full_event_enumeration(monkeypatch):
     assert any(wall_tie for _, wall_tie in seen)
 
 
-def test_stalled_reduction_stops_at_the_cap(monkeypatch):
-    # with motions that move nothing, the reduction runs until its cap:
-    # 16 steps per cell row of every axis, here 16 * (4 + 5)
+def test_stalled_reduction_fails_at_its_first_step(monkeypatch):
+    # every step must lower the number of interior cuts, so a motion that
+    # moves nothing is refused at once rather than repeated up to a cap
     x = TestMergeImprove.four_step()
     assert [len(g) for g in x.grids] == [5, 6]
+    calls = []
 
     def stalled(y, *args):
+        calls.append(y)
         s = y.grids[0][1]
         return y, variation._MotionInfo("slices-collide", F(0), s, s, s, s)
 
     monkeypatch.setattr(variation, "_merge_step_full", stalled)
     monkeypatch.setattr(variation, "_improve_same_axis_full", stalled)
-    with pytest.raises(IterationCapError, match="exceeded 144 steps") as exc:
+    with pytest.raises(InternalCheckError, match="did not lower the number of interior cuts"):
         reduce_to_special(x)
-    assert len(exc.value.log) == 1 + 144
+    assert len(calls) == 1
+
+
+def test_reduction_steps_are_bounded_by_the_interior_cuts():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        x = random_monotone_set(rng, 3, 5, max_cells=60)
+        _, log = reduce_to_special(x)
+        cuts = sum(len(g) - 2 for g in symmetrize_all(x).grids)
+        assert len(log) - 1 <= cuts

@@ -24,10 +24,12 @@ most one singular point per axis therefore lives on at most two cells per
 axis.
 
 A :class:`VoxelSet` is an integer mask, bit ``i`` holding the cell of flat
-index ``i`` of the regular grid.  Its kernels, the face count and the
-Steiner column push, are broadword operations written once: they take one
-set as a Python int of any size, or a batch of sets of at most 64 cells as
-a ``uint64`` array, and read strides and masks built once per grid shape.
+index ``i`` of the regular grid.  Its kernels are broadword operations
+written once: the face count (shift, XOR and popcount per axis) and the
+Steiner column push, which keeps a unary counter in every column and lifts
+it by one level for each occupied cell read.  They take one set as a
+Python int of any size, or a batch of sets of at most 64 cells as a
+``uint64`` array, and read strides and masks built once per grid shape.
 The signed axis permutations act on boolean occupancy arrays, which a voxel
 set decodes to on request.
 """
@@ -486,9 +488,9 @@ def _transform_cells(occ: np.ndarray, dim: int, perm, flip) -> np.ndarray:
     return arr[(...,) + tuple(slice(None, None, -1 if f else 1) for f in flip)]
 
 
-def _is_monotone_cells(occ: np.ndarray, dim: int) -> bool:
+def _is_monotone_cells(occ: np.ndarray) -> bool:
     """True when occupancy never increases along any axis."""
-    for axis in range(occ.ndim - dim, occ.ndim):
+    for axis in range(occ.ndim):
         cells, succ = _neighbours(occ, axis)
         if np.any(succ & ~cells):
             return False
@@ -519,21 +521,25 @@ def _popcount(x):
 
 
 @functools.cache
-def _axis_masks(dim: int, res: int) -> tuple[tuple[int, int, int], ...]:
+def _axis_masks(dim: int, res: int) -> tuple[tuple[int, int, int, int], ...]:
     """Per axis of the ``res^dim`` grid: the flat stride of a step along it,
-    the mask of the cells that have a successor along it, and the mask of
-    its bottom level plane; built once per shape."""
-    return tuple(
-        (res ** (dim - 1 - axis), _cells_mask(level < res - 1), _cells_mask(level == 0))
-        for axis, level in enumerate(np.indices((res,) * dim))
-    )
+    the mask of the cells that have a successor along it, the mask of its
+    bottom level plane, and ``spread``, one bit per level at multiples of
+    the stride, whose product with a bottom-plane mask copies that plane
+    onto every level; built once per shape."""
+    tables = []
+    for axis, level in enumerate(np.indices((res,) * dim)):
+        stride = res ** (dim - 1 - axis)
+        spread = sum(1 << (k * stride) for k in range(res))
+        tables.append((stride, _cells_mask(level < res - 1), _cells_mask(level == 0), spread))
+    return tuple(tables)
 
 
 def _face_count(x, dim: int, res: int):
     """Number of faces between adjacent cells of different occupancy: per
     axis, the cells that differ from their successor."""
     total = 0
-    for stride, succ, _ in _axis_masks(dim, res):
+    for stride, succ, _, _ in _axis_masks(dim, res):
         differ = x >> stride  # a new int or array: the steps below leave x alone
         differ ^= x
         differ &= succ
@@ -544,20 +550,16 @@ def _face_count(x, dim: int, res: int):
 def _steiner(x, dim: int, res: int, axis: int):
     """Push every column along ``axis`` down to a run anchored at cell 0.
 
-    The ``res`` level planes, shifted onto the bottom one, are sorted by an
-    odd-even transposition sort, which needs ``res`` rounds; on bit planes a
-    compare-exchange is one OR (the lower plane) and one AND (the upper)."""
-    stride, _, bottom = _axis_masks(dim, res)[axis]
-    planes = [(x >> (k * stride)) & bottom for k in range(res)]
-    for phase in range(res):
-        for k in range(phase % 2, res - 1, 2):
-            both = planes[k] & planes[k + 1]
-            planes[k] |= planes[k + 1]
-            planes[k + 1] = both
-    out = planes.pop()
-    while planes:
-        out <<= stride
-        out |= planes.pop()
+    Each column holds a unary counter: level ``j`` of the image is set when
+    more than ``j`` of the column's cells were read.  Reading level ``k``
+    copies its plane onto every level (one product with ``spread``) and,
+    in the columns where it is set, lifts the counter by one level."""
+    stride, _, bottom, spread = _axis_masks(dim, res)[axis]
+    out = x & bottom
+    for k in range(1, res):
+        plane = (x >> (k * stride)) & bottom
+        plane *= spread
+        out |= ((out << stride) | bottom) & plane
     return out
 
 

@@ -48,7 +48,7 @@ def is_symmetrized(x: CubicalSet) -> bool:
     """True when ``x`` is a fixed point of every axis symmetrization, that
     is, when its occupancy grid never increases along any axis.  Read once
     per set and cached on it."""
-    return x._cached("is_symmetrized", lambda: _is_monotone_cells(x.occ, x.dim))
+    return x._cached("is_symmetrized", lambda: _is_monotone_cells(x.occ))
 
 
 def symmetrize_all(x: CubicalSet) -> CubicalSet:

@@ -9,11 +9,13 @@ analysis and survey of the development of mutation testing*, IEEE TSE 37
     python tests/mutants.py NAME ...     # the named ones
 
 Each mutant runs on its own copy of ``src/`` in a temporary directory.  It
-is killed when every test it names fails; the runner lists the survivors
-and exits 1 if there are any.  A patch whose old text no longer occurs
-exactly once is an error, so the list has to follow the code;
-``tests/test_mutants.py`` checks that in Tier-1.  A change that adds a test
-to kill a mutant adds the mutant here.
+is killed when every test it names fails, or when those tests run past
+``TIME_LIMIT_S``.  A test named without its parameter ID fails when every
+one of its cases fails.  The runner lists the survivors and exits 1 if
+there are any.  A patch whose old text no longer occurs exactly once is an
+error, so the list has to follow the code; ``tests/test_mutants.py`` checks
+that in Tier-1.  A change that adds a test to kill a mutant adds the mutant
+here.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+TIME_LIMIT_S = 120  # per mutant; its kill tests take seconds on unmutated code
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ MUTANTS = (
     Mutant(
         "face-count-misses-last-axis",
         "cubeiso/geometry.py",
-        "for stride, succ, _ in _axis_masks(dim, res):",
-        "for stride, succ, _ in _axis_masks(dim, res)[:-1]:",
+        "for stride, succ, _, _ in _axis_masks(dim, res):",
+        "for stride, succ, _, _ in _axis_masks(dim, res)[:-1]:",
         (
             "tests/test_geometry.py::test_kernels_match_per_cell_loops",
             "tests/test_geometry.py::TestVoxel::test_face_count_matches_sweep",
@@ -52,12 +55,36 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "compare-exchange-and-to-lower-plane",
+        "steiner-skips-top-level",
         "cubeiso/geometry.py",
-        "both = planes[k] & planes[k + 1]\n            planes[k] |= planes[k + 1]",
-        "both = planes[k] | planes[k + 1]\n            planes[k] &= planes[k + 1]",
+        "for k in range(1, res):",
+        "for k in range(1, res - 1):",
         (
             "tests/test_geometry.py::test_kernels_match_per_cell_loops",
+            "tests/test_geometry.py::test_steiner_on_full_64_cell_grids",
+            "tests/test_exhaustive.py::test_column_tables_match_the_written_out_formulas",
+        ),
+    ),
+    Mutant(
+        "spread-misses-top-level",
+        "cubeiso/geometry.py",
+        "spread = sum(1 << (k * stride) for k in range(res))",
+        "spread = sum(1 << (k * stride) for k in range(res - 1))",
+        (
+            "tests/test_geometry.py::test_kernels_match_per_cell_loops",
+            "tests/test_geometry.py::test_steiner_on_full_64_cell_grids",
+            "tests/test_geometry.py::test_shape_tables_are_built_once",
+            "tests/test_exhaustive.py::test_column_tables_match_the_written_out_formulas",
+        ),
+    ),
+    Mutant(
+        "steiner-counter-lifts-only-from-bottom",
+        "cubeiso/geometry.py",
+        "out |= ((out << stride) | bottom) & plane",
+        "out |= (out << stride) & plane",
+        (
+            "tests/test_geometry.py::test_kernels_match_per_cell_loops",
+            "tests/test_geometry.py::test_steiner_on_full_64_cell_grids",
             "tests/test_exhaustive.py::test_column_tables_match_the_written_out_formulas",
         ),
     ),
@@ -140,20 +167,42 @@ def patched_text(mutant: Mutant, src: Path = SRC) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def surviving_tests(mutant: Mutant) -> list[str]:
-    """The tests of ``mutant.kills`` that pass against a mutated copy of ``src/``."""
+def failed_tests(report: str, tests) -> set[str]:
+    """The tests of ``tests`` that a pytest ``-rfp`` short summary lists as
+    failed.  A test named without its parameter ID failed when every case
+    of it listed failed."""
+    outcomes = {}
+    for line in report.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("FAILED", "PASSED"):
+            outcomes[rest.partition(" - ")[0]] = word == "FAILED"
+    failed = set()
+    for test in tests:
+        cases = [bad for tid, bad in outcomes.items() if tid == test or tid.startswith(test + "[")]
+        if cases and all(cases):
+            failed.add(test)
+    return failed
+
+
+def surviving_tests(mutant: Mutant) -> list[str] | None:
+    """The tests of ``mutant.kills`` that pass against a mutated copy of
+    ``src/``, or None when they run past ``TIME_LIMIT_S``."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / mutant.file).write_text(patched_text(mutant), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.kills],
-            cwd=ROOT,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-        )
-    failed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfp", "-p", "no:cacheprovider", *mutant.kills],
+                cwd=ROOT,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                capture_output=True,
+                text=True,
+                timeout=TIME_LIMIT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return None
+    failed = failed_tests(proc.stdout, mutant.kills)
     return [test for test in mutant.kills if test not in failed]
 
 
@@ -166,6 +215,9 @@ def main(argv: list[str]) -> int:
     survivors = 0
     for mutant in [by_name[name] for name in argv] or MUTANTS:
         alive = surviving_tests(mutant)
+        if alive is None:
+            print(f"killed (timeout) {mutant.name}")
+            continue
         survivors += bool(alive)
         print(f"{'SURVIVED' if alive else 'killed  '} {mutant.name}")
         for test in alive:

@@ -431,6 +431,23 @@ def test_kernels_match_per_cell_loops(batch):
         assert np.array_equal(words, [v.mask for v in sets])  # the batch is left alone
 
 
+@pytest.mark.parametrize("dim,res", [(1, 64), (2, 8), (3, 4), (6, 2)])
+def test_steiner_on_full_64_cell_grids(dim, res):
+    """Only a 64-cell grid carries the product with ``spread`` into bit 63:
+    the ``uint64`` batch, the int path and the per-cell loop agree there."""
+    rng = np.random.default_rng(res)
+    masks = [0, (1 << 64) - 1, 1 << 63]
+    masks += [int.from_bytes(rng.bytes(8), "little") for _ in range(5)]
+    words = np.array(masks, dtype=np.uint64)
+    for axis in range(dim):
+        images = [_steiner(mask, dim, res, axis) for mask in masks]
+        assert _steiner(words, dim, res, axis).tolist() == images
+        for mask, image in zip(masks, images):
+            expected = _steiner_by_cells(_mask_cells(mask, dim, res), axis)
+            assert np.array_equal(_mask_cells(image, dim, res), expected)
+    assert words.tolist() == masks  # the batch is left alone
+
+
 def test_shape_tables_are_built_once():
     rng = np.random.default_rng(37)
     VoxelSet(5, rng.random((5, 5, 5)) < 0.5).face_count()
@@ -441,9 +458,12 @@ def test_shape_tables_are_built_once():
     assert _axis_masks.cache_info().misses == built
     tables = _axis_masks(3, 5)
     assert _axis_masks(3, 5) is tables
-    assert [stride for stride, _, _ in tables] == [25, 5, 1]
-    for stride, succ, bottom in tables:
+    assert [stride for stride, _, _, _ in tables] == [25, 5, 1]
+    for stride, succ, bottom, spread in tables:
         assert succ.bit_count() == 4 * 25 and bottom.bit_count() == 25
+        # one bit on each of the axis's five levels
+        assert [(spread & bottom << k * stride).bit_count() for k in range(5)] == [1] * 5
+        assert spread.bit_count() == 5
 
 
 def _mask_cells_reference(mask, dim, res):

@@ -94,7 +94,7 @@ def test_symmetrized_iff_monotone_voxel():
     rng = np.random.default_rng(47)
     for _ in range(40):
         v = random_voxel(rng, 2, 4)
-        assert is_symmetrized(devoxelize(v)) == _is_monotone_cells(v.cells, 2)
+        assert is_symmetrized(devoxelize(v)) == _is_monotone_cells(v.cells)
 
 
 def test_symmetrize_all_output_is_always_symmetrized():

@@ -10,11 +10,11 @@ isometry maps them onto it.
 Since the subset lattice is closed under axis permutation and isometry
 equivalence is conjugation-invariant, auditing one symmetrization direction
 over all sets decides every direction; the 3D m=3 scan (2^27 sets) uses
-that reduction and a chunked bit-parallel pipeline.  The small grids are
-scanned as one batch of ``uint64`` masks with geometry's mask kernels, and
-the 3D m=3 pipeline builds its column tables from the same kernels, so
-geometry alone holds the rules.  Both map masks to their isometric images
-with per-isometry chunk tables.
+that reduction and scans the masks in chunks.  Every grid audited has at
+most 27 cells, so its masks are ``uint32`` words: the small grids are
+scanned as one batch and the 3D m=3 grid chunk by chunk, both with
+geometry's mask kernels, so geometry alone holds the rules.  Both map masks
+to their isometric images with per-isometry chunk tables.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import ResolutionCapError
 from .geometry import (
     VoxelSet,
     _face_count,
-    _popcount,
     _steiner,
     _transform_cells,
     all_isometries,
@@ -52,12 +51,14 @@ class AuditOutcome:
 
 
 @functools.cache
-def _iso_chunk_tables(dim: int, res: int, bits: int = 8, dtype=np.uint64) -> tuple:
+def _iso_chunk_tables(dim: int, res: int, bits: int = 8) -> tuple:
     """For each cube isometry, in the order of ``all_isometries``, one table
     per chunk of ``bits`` source cells: entry ``v`` holds the image bits of
-    the chunk's cells that ``v`` sets.  An image of a mask is the OR of its
-    chunks' entries.  Built once per shape."""
+    the chunk's cells that ``v`` sets, as a ``uint32`` word for grids of at
+    most 32 cells and a ``uint64`` word above.  An image of a mask is the OR
+    of its chunks' entries.  Built once per shape."""
     n = res**dim
+    dtype = np.uint32 if n <= 32 else np.uint64
     cells = np.arange(n).reshape((res,) * dim)
     tables = []
     for g in all_isometries(dim):
@@ -80,13 +81,13 @@ def _audit_small(dim: int, res: int, limit: int) -> AuditOutcome:
     """The audit over every mask of a grid of at most 16 cells as one batch:
     each isometric image is built from 8-bit chunks, one isometry at a time,
     and compared with the Steiner images of every axis."""
-    masks = np.arange(1 << res**dim, dtype=np.uint64)
+    masks = np.arange(1 << res**dim, dtype=np.uint32)
     n = len(masks)
     perim = _face_count(masks, dim, res)
     syms = [_steiner(masks, dim, res, axis) for axis in range(dim)]
     eqs = [perim == _face_count(sym, dim, res) for sym in syms]
     del perim  # not held through the image loop, where the peak lies
-    chunks = [((masks >> start) & 0xFF).astype(np.intp) for start in range(0, res**dim, 8)]
+    chunks = [((masks >> start) & 0xFF).astype(np.uint8) for start in range(0, res**dim, 8)]
     matched = [np.zeros(n, dtype=bool) for _ in range(dim)]
     for tables in _iso_chunk_tables(dim, res):
         image = tables[0][chunks[0]]
@@ -106,32 +107,19 @@ def _audit_small(dim: int, res: int, limit: int) -> AuditOutcome:
     return AuditOutcome(dim, res, n * dim, preserved_total, violations, False)
 
 
-# -- bit-parallel 3D m=3 pipeline ---------------------------------------------
+# -- the 3D m=3 scan -----------------------------------------------------------
 
-_COL_MASK = 0b111
 # Sets per chunk: 2^16 scans all 2^27 sets about as fast as larger chunks
-# and holds the peak memory near 40 MB; criterion 5's scan, which stops
+# while a chunk's arrays stay near 1.3 MB; criterion 5's scan, which stops
 # after 4 violations, finds them in the first chunk.
 _CHUNK_BITS = 16
 
 
-@functools.cache
-def _luts_3x3x3():
-    """Per 3-cell column mask (bit ``i`` is cell ``i`` up the column): its
-    Steiner push and its faces inside the column; per pair of masks
-    (index ``8 a + b``), the faces between two adjacent columns."""
-    cols = np.arange(8, dtype=np.uint64)
-    fill = _steiner(cols, 1, 3, 0)
-    caps = _face_count(cols, 1, 3)
-    diff = _popcount(cols[:, None] ^ cols[None, :]).reshape(64)
-    return fill.astype(np.uint32), caps.astype(np.uint32), diff.astype(np.uint32)
-
-
 def _audit_3x3x3(limit: int, stop_after: int) -> AuditOutcome:
-    fill, caps, diff64 = _luts_3x3x3()
-    iso_tables = _iso_chunk_tables(3, 3, 9, np.uint32)
-    x_pairs = [(c, c + 3) for c in range(6)]
-    y_pairs = [(x * 3 + y, x * 3 + y + 1) for x in range(3) for y in range(2)]
+    """The audit along axis 2 over every mask of the 3x3x3 grid, chunk by
+    chunk; only the sets whose perimeter survives are mapped through the
+    isometries."""
+    iso_tables = _iso_chunk_tables(3, 3, 9)
     total = 1 << 27
     step = 1 << _CHUNK_BITS
     violations: list[VoxelSet] = []
@@ -139,26 +127,12 @@ def _audit_3x3x3(limit: int, stop_after: int) -> AuditOutcome:
     checked = 0
     stopped = False
     for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint64)
-        cols = [((masks >> np.uint64(3 * c)) & np.uint64(_COL_MASK)).astype(np.uint32) for c in range(9)]
-        sym = np.zeros_like(masks)
-        per = np.zeros(len(masks), dtype=np.uint32)
-        per_s = np.zeros(len(masks), dtype=np.uint32)
-        sym_cols = []
-        for c in range(9):
-            sc = fill[cols[c]]
-            sym_cols.append(sc)
-            sym |= sc.astype(np.uint64) << np.uint64(3 * c)
-            per += caps[cols[c]]
-            per_s += caps[sc]
-        for a, b in x_pairs + y_pairs:
-            per += diff64[cols[a] * 8 + cols[b]]
-            per_s += diff64[sym_cols[a] * 8 + sym_cols[b]]
-        eq = per == per_s
-        preserved_total += int(eq.sum())
-        idx = np.flatnonzero(eq)
-        xs = masks[idx].astype(np.uint32)
-        ss = sym[idx].astype(np.uint32)
+        masks = np.arange(start, min(start + step, total), dtype=np.uint32)
+        sym = _steiner(masks, 3, 3, 2)
+        eq = _face_count(masks, 3, 3) == _face_count(sym, 3, 3)
+        preserved_total += int(np.count_nonzero(eq))
+        xs = masks[eq]
+        ss = sym[eq]
         matched = np.zeros(len(xs), dtype=bool)
         for t0, t1, t2 in iso_tables:
             tr = t0[xs & 511] | t1[(xs >> 9) & 511] | t2[xs >> 18]

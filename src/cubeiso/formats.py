@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DomainError, FormatError, RationalParseError
 from .geometry import MAX_GRID_CELLS, AxisBox, CubicalSet, VoxelSet, boundary_faces
 
-MAX_DIM = 32  # arrays hold at most 32 axes before NumPy 2.0 (64 from 2.0)
+MAX_DIM = 32  # the files' bound since their first version; NumPy 2 arrays hold 64 axes
 MAX_VOXEL_CELLS = MAX_GRID_CELLS  # res**dim of the largest voxel file read
 # Digits of the longest integer read: Python's default limit on int<->str
 # conversions, which the command line lifts for its exact output only.

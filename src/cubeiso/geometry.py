@@ -28,8 +28,8 @@ index ``i`` of the regular grid.  Its kernels are broadword operations
 written once: the face count (shift, XOR and popcount per axis) and the
 Steiner column push, which keeps a unary counter in every column and lifts
 it by one level for each occupied cell read.  They take one set as a
-Python int of any size, or a batch of sets of at most 64 cells as a
-``uint64`` array, and read strides and masks built once per grid shape.
+Python int of any size, or a batch of sets as an unsigned word array whose
+words hold the grid, and read strides and masks built once per grid shape.
 The signed axis permutations act on boolean occupancy arrays, which a voxel
 set decodes to on request.
 """
@@ -500,24 +500,20 @@ def _is_monotone_cells(occ: np.ndarray) -> bool:
 # -- mask kernels: bit ``i`` of a mask holds the cell of flat index ``i`` -------
 #
 # Each kernel takes one voxel set as a Python int, of any size, or a batch of
-# sets of at most 64 cells as a ``uint64`` array, and runs the same broadword
-# operations on both (Knuth, TAOCP 4A, 7.1.3).  Shift amounts and masks stay
-# Python ints, which NumPy casts to the array's ``uint64``; an ``np.uint64``
-# of a mask would cut it to 64 bits.
-
-_BYTE_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-_BYTE_SUM = 0x0101010101010101  # eight byte counts times this: their sum in the top byte
+# sets as an unsigned word array (``uint32`` for grids of at most 32 cells,
+# ``uint64`` for at most 64), and runs the same broadword operations on both
+# (Knuth, TAOCP 4A, 7.1.3).  Shift amounts and masks stay Python ints, which
+# NumPy casts to the array's word type; an ``np.uint64`` of a mask would cut
+# it to 64 bits.  An array's popcounts are ``uint8``: a grid of at most 64
+# cells has at most 192 adjacent pairs (the 2^6 grid), so face counts summed
+# over the axes stay below 256.
 
 
 def _popcount(x):
-    """The set bits of an int, or of every word of a ``uint64`` array."""
+    """The set bits of an int, or of every word of an unsigned array."""
     if isinstance(x, int):
         return x.bit_count()
-    counts = _BYTE_COUNTS[np.ascontiguousarray(x, dtype=np.uint64).view(np.uint8)]
-    total = counts.view(np.uint64)
-    total *= _BYTE_SUM
-    total >>= 56
-    return total
+    return np.bitwise_count(x)
 
 
 @functools.cache

@@ -240,9 +240,9 @@ def brute_min(dim: int, res: int, cells: int) -> BruteResult:
 
 def _all_subsets_minima(dim: int, res: int) -> dict:
     """Per-cell-count minima over every voxel subset, as masks, counted in
-    one batch."""
+    one batch of ``uint32`` words (the capped grids have at most 16 cells)."""
     n_cells = res**dim
-    masks = np.arange(1 << n_cells, dtype=np.uint64)
+    masks = np.arange(1 << n_cells, dtype=np.uint32)
     faces = _face_count(masks, dim, res)
     counts = _popcount(masks)
     out: dict[int, tuple[int, list]] = {}

@@ -62,7 +62,7 @@ MUTANTS = (
         (
             "tests/test_geometry.py::test_kernels_match_per_cell_loops",
             "tests/test_geometry.py::test_steiner_on_full_64_cell_grids",
-            "tests/test_exhaustive.py::test_column_tables_match_the_written_out_formulas",
+            "tests/test_exhaustive.py::test_3d_m3_first_chunk_matches_the_cell_array_reference",
         ),
     ),
     Mutant(
@@ -74,7 +74,7 @@ MUTANTS = (
             "tests/test_geometry.py::test_kernels_match_per_cell_loops",
             "tests/test_geometry.py::test_steiner_on_full_64_cell_grids",
             "tests/test_geometry.py::test_shape_tables_are_built_once",
-            "tests/test_exhaustive.py::test_column_tables_match_the_written_out_formulas",
+            "tests/test_exhaustive.py::test_3d_m3_first_chunk_matches_the_cell_array_reference",
         ),
     ),
     Mutant(
@@ -85,7 +85,19 @@ MUTANTS = (
         (
             "tests/test_geometry.py::test_kernels_match_per_cell_loops",
             "tests/test_geometry.py::test_steiner_on_full_64_cell_grids",
-            "tests/test_exhaustive.py::test_column_tables_match_the_written_out_formulas",
+            "tests/test_exhaustive.py::test_3d_m3_first_chunk_matches_the_cell_array_reference",
+        ),
+    ),
+    Mutant(
+        "popcount-drops-high-half",
+        "cubeiso/geometry.py",
+        "return np.bitwise_count(x)",
+        "return np.bitwise_count(x & ((1 << 4 * x.itemsize) - 1))",
+        (
+            "tests/test_geometry.py::test_kernels_match_per_cell_loops",
+            "tests/test_geometry.py::test_word_batches_match_the_int_path[6-2]",
+            "tests/test_geometry.py::test_word_batches_match_the_int_path[3-3]",
+            "tests/test_geometry.py::test_word_batches_match_the_int_path[3-4]",
         ),
     ),
     Mutant(
@@ -108,6 +120,16 @@ MUTANTS = (
             "tests/test_exhaustive.py::test_iso_chunk_tables_match_the_written_out_loops",
             "tests/test_exhaustive.py::test_iso_chunk_tables_map_masks_to_their_images[3-3]",
             "tests/test_exhaustive.py::test_small_audit_matches_the_cell_array_reference[2-4]",
+        ),
+    ),
+    Mutant(
+        "3x3x3-scan-symmetrizes-axis-0",
+        "cubeiso/exhaustive.py",
+        "sym = _steiner(masks, 3, 3, 2)",
+        "sym = _steiner(masks, 3, 3, 0)",
+        (
+            "tests/test_exhaustive.py::test_3d_m3_stopped_scan_counts_what_it_checked",
+            "tests/test_exhaustive.py::test_3d_m3_first_chunk_matches_the_cell_array_reference",
         ),
     ),
     Mutant(
@@ -146,6 +168,21 @@ MUTANTS = (
         ("tests/test_geometry.py::TestVoxel::test_voxel_set_is_an_immutable_value",),
     ),
     Mutant(
+        "horizon-wall-kinds-swapped",
+        "cubeiso/variation.py",
+        'kind = "slice-hits-1" if k + 2 == len(g) else "slice-area-changes"\n'
+        "        return VariationEvent(kind, g[k + 1] - g[k])\n"
+        '    kind = "slice-hits-0" if k == 1',
+        'kind = "slice-hits-0" if k + 2 == len(g) else "slice-area-changes"\n'
+        "        return VariationEvent(kind, g[k + 1] - g[k])\n"
+        '    kind = "slice-hits-1" if k == 1',
+        (
+            "tests/test_variation.py::TestTranslate::test_horizons",
+            "tests/test_variation.py::TestTranslate::test_event_error_beyond_horizon",
+            "tests/test_variation.py::test_joint_motion_matches_the_full_event_enumeration",
+        ),
+    ),
+    Mutant(
         "cross-axis-step-halves-64-times",
         "cubeiso/variation.py",
         "for _ in range(64 + sum(d.bit_length() for d in x._widths()[1])):",
@@ -153,6 +190,16 @@ MUTANTS = (
         (
             "tests/test_variation.py::TestRandomizedMotions::test_cross_direction_step_scales_with_the_set[70]",
             "tests/test_variation.py::TestRandomizedMotions::test_cross_direction_step_scales_with_the_set[300]",
+        ),
+    ),
+    Mutant(
+        "bisection-runs-past-the-target-width",
+        "cubeiso/enclosure.py",
+        "while hi - lo > target:",
+        "while hi - lo >= target:",
+        (
+            "tests/test_enclosure.py::test_nth_root_ends_in_the_integer_root_cell",
+            "tests/test_classify.py::TestCompetitors::test_tiny_tube_takes_the_simplest_cube_side",
         ),
     ),
 )

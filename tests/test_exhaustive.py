@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubeiso.exhaustive import _iso_chunk_tables, _luts_3x3x3, equality_case_audit
+from cubeiso.exhaustive import _iso_chunk_tables, equality_case_audit
 from cubeiso.geometry import (
     VoxelSet,
     _face_count,
@@ -87,21 +87,6 @@ def test_3d_m3_stopped_scan_counts_what_it_checked():
     assert out.perimeter_preserving == int(preserved.sum())
 
 
-def _luts_reference():
-    """The 3-cell column tables written out with popcounts."""
-    pc = np.array([bin(v).count("1") for v in range(8)], dtype=np.uint32)
-    fill = np.array([0, 1, 3, 7], dtype=np.uint32)[pc]
-    caps = np.array(
-        [bin((v ^ (v >> 1)) & 0b011).count("1") for v in range(8)],
-        dtype=np.uint32,
-    )
-    diff = np.zeros((8, 8), dtype=np.uint32)
-    for a in range(8):
-        for b in range(8):
-            diff[a, b] = bin(a ^ b).count("1")
-    return fill, caps, diff.reshape(64)
-
-
 def _iso_chunk_tables_reference():
     """The per-isometry chunk tables written out cell by cell and bit by bit."""
     tables = []
@@ -133,14 +118,8 @@ def _iso_chunk_tables_reference():
     return tables
 
 
-def test_column_tables_match_the_written_out_formulas():
-    for derived, reference in zip(_luts_3x3x3(), _luts_reference(), strict=True):
-        assert derived.dtype == np.uint32
-        assert np.array_equal(derived, reference)
-
-
 def test_iso_chunk_tables_match_the_written_out_loops():
-    derived = _iso_chunk_tables(3, 3, 9, np.uint32)
+    derived = _iso_chunk_tables(3, 3, 9)
     reference = _iso_chunk_tables_reference()
     assert len(derived) == len(reference) == 48
     for tabs, ref_tabs in zip(derived, reference):
@@ -155,17 +134,18 @@ def test_iso_chunk_tables_map_masks_to_their_images(dim, res):
     masks = rng.integers(0, 2**64, size=40, dtype=np.uint64) >> (64 - res**dim)
     chunks = [(masks >> start) & 0xFF for start in range(0, res**dim, 8)]
     for g, tables in zip(all_isometries(dim), _iso_chunk_tables(dim, res), strict=True):
-        assert all(t.dtype == np.uint64 and len(t) <= 256 for t in tables)
+        word = np.uint32 if res**dim <= 32 else np.uint64
+        assert all(t.dtype == word and len(t) <= 256 for t in tables)
         images = np.bitwise_or.reduce([t[c] for t, c in zip(tables, chunks, strict=True)])
         for mask, image in zip(masks.tolist(), images.tolist()):
             assert image == VoxelSet.from_mask(dim, res, mask).apply(g).mask
 
 
-def _audit_small_reference(dim, res, limit):
-    """The audit on boolean cell arrays, one batch of every subset, with
+def _audit_reference(dim, res, masks, axes, limit):
+    """The audit of ``masks`` along ``axes`` on boolean cell arrays, with
     per-axis slice comparisons for faces and a height ramp for Steiner."""
     n_cells = res**dim
-    words = np.arange(1 << n_cells, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    words = np.asarray(masks, dtype="<u8").reshape(-1, 1).view(np.uint8)
     bits = np.unpackbits(words, axis=1, count=n_cells, bitorder="little")
     occ = bits.view(bool).reshape((-1,) + (res,) * dim)
     n = len(occ)
@@ -176,7 +156,7 @@ def _audit_small_reference(dim, res, limit):
 
     perim = faces(occ)
     violations, preserved_total = [], 0
-    for axis in range(dim):
+    for axis in axes:
         heights = occ.sum(axis=axis + 1, keepdims=True)
         sym = np.arange(res).reshape((-1,) + (1,) * (dim - 1 - axis)) < heights
         eq = perim == faces(sym)
@@ -187,7 +167,12 @@ def _audit_small_reference(dim, res, limit):
             matched |= (tr == sym).reshape(n, -1).all(axis=1)
         bad = np.flatnonzero(eq & ~matched)[: max(0, limit - len(violations))]
         violations += [np.flatnonzero(occ[k]).tolist() for k in bad]
-    return n * dim, preserved_total, violations
+    return n * len(axes), preserved_total, violations
+
+
+def _audit_small_reference(dim, res, limit):
+    """The reference over every subset of the grid along every axis."""
+    return _audit_reference(dim, res, np.arange(1 << res**dim), range(dim), limit)
 
 
 @pytest.mark.parametrize("dim,res", [(2, 2), (2, 3), (2, 4), (3, 2)])
@@ -199,6 +184,17 @@ def test_small_audit_matches_the_cell_array_reference(dim, res):
     assert not out.stopped_early
 
 
+def test_3d_m3_first_chunk_matches_the_cell_array_reference():
+    """The 3x3x3 scan symmetrizes along axis 2; stopped after its first
+    chunk, masks 0 .. 2^16 - 1, it reports that chunk's preserved count and
+    its first violations in mask order."""
+    out = equality_case_audit(3, 3, limit=8, stop_after=8)
+    assert out.stopped_early and out.checked == 1 << 16
+    _, preserved, violations = _audit_reference(3, 3, np.arange(1 << 16), [2], 8)
+    assert out.perimeter_preserving == preserved
+    assert [v.flat_indices() for v in out.violations] == violations
+
+
 def test_small_audit_holds_no_more_memory_than_the_cell_array_reference():
     peaks = []
     for audit in (_audit_small_reference, equality_case_audit):
@@ -208,6 +204,18 @@ def test_small_audit_holds_no_more_memory_than_the_cell_array_reference():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= peaks[0], peaks
+
+
+@pytest.mark.parametrize("dim,res,stop_after", [(3, 3, 4), (2, 4, 0)])
+def test_audits_peak_under_2_5_mb(dim, res, stop_after):
+    """The lattice workload's two largest audits, after their tables are
+    built: the stopped 3x3x3 scan and the full 4x4 scan."""
+    equality_case_audit(dim, res, limit=4, stop_after=stop_after)
+    tracemalloc.start()
+    equality_case_audit(dim, res, limit=4, stop_after=stop_after)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2.5e6, peak
 
 
 def test_resolution_cap():

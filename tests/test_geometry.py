@@ -17,6 +17,7 @@ from cubeiso.geometry import (
     _axis_masks,
     _face_count,
     _mask_cells,
+    _popcount,
     _steiner,
     all_isometries,
     boundary_faces,
@@ -412,7 +413,7 @@ def voxel_batches(draw):
 @given(voxel_batches())
 def test_kernels_match_per_cell_loops(batch):
     """The mask kernels on one set as a Python int, for grids of any size,
-    and on a ``uint64`` batch of every grid of at most 64 cells."""
+    and on ``uint32`` and ``uint64`` batches of every grid their words hold."""
     dim, res = batch.ndim - 1, batch.shape[1]
     sets = [VoxelSet(res, occ) for occ in batch]
     for v, occ in zip(sets, batch):
@@ -420,15 +421,46 @@ def test_kernels_match_per_cell_loops(batch):
         for axis in range(dim):
             image = _steiner(v.mask, dim, res, axis)
             assert np.array_equal(_mask_cells(image, dim, res), _steiner_by_cells(occ, axis))
-    if res**dim <= 64:
-        words = np.array([v.mask for v in sets], dtype=np.uint64)
+    for dtype in (np.uint32, np.uint64):
+        if res**dim > 8 * np.dtype(dtype).itemsize:
+            continue
+        words = np.array([v.mask for v in sets], dtype=dtype)
         faces = _face_count(words, dim, res)
-        assert faces.dtype == np.uint64
+        assert faces.dtype == np.uint8
         assert faces.tolist() == [_face_count(v.mask, dim, res) for v in sets]
         for axis in range(dim):
             images = _steiner(words, dim, res, axis)
+            assert images.dtype == dtype
             assert images.tolist() == [_steiner(v.mask, dim, res, axis) for v in sets]
         assert np.array_equal(words, [v.mask for v in sets])  # the batch is left alone
+
+
+WORD_SHAPES = [(dim, res) for res in range(2, 65) for dim in range(1, 7) if res**dim <= 64]
+
+
+@pytest.mark.parametrize("dim,res", WORD_SHAPES)
+def test_word_batches_match_the_int_path(dim, res):
+    """Every grid of at most 64 cells, in every unsigned word type that holds
+    it.  The checkerboards have a face on every adjacent pair, 192 on the
+    2^6 grid, so a face count that wraps or a popcount that drops bits of a
+    word shows."""
+    n = res**dim
+    board = VoxelSet(res, np.indices((res,) * dim).sum(axis=0) % 2 == 1).mask
+    full = (1 << n) - 1
+    rng = np.random.default_rng(n + dim)
+    masks = [0, full, board, full ^ board, 1 << (n - 1)]
+    masks += [int.from_bytes(rng.bytes(8), "little") >> (64 - n) for _ in range(5)]
+    pairs = dim * (res - 1) * res ** (dim - 1)
+    assert _face_count(board, dim, res) == _face_count(full ^ board, dim, res) == pairs
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if n > 8 * np.dtype(dtype).itemsize:
+            continue
+        words = np.array(masks, dtype=dtype)
+        assert _popcount(words).tolist() == [mask.bit_count() for mask in masks]
+        assert _face_count(words, dim, res).tolist() == [_face_count(mask, dim, res) for mask in masks]
+        for axis in range(dim):
+            assert _steiner(words, dim, res, axis).tolist() == [_steiner(mask, dim, res, axis) for mask in masks]
+        assert words.tolist() == masks  # the batch is left alone
 
 
 @pytest.mark.parametrize("dim,res", [(1, 64), (2, 8), (3, 4), (6, 2)])

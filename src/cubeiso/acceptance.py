@@ -8,6 +8,7 @@ drive.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .classify import (
 from .enclosure import cmp_power, exact_nth_root, poly_root
 from .errors import CubeIsoError
 from .exhaustive import equality_case_audit
-from .geometry import devoxelize, voxelize
+from .geometry import _face_count, _popcount, _steiner, devoxelize, voxelize
 from .sampling import random_face_subset, random_monotone_set, random_voxel
 from .search import brute_min, brute_min_general, strip_brute_min
 from .symmetrize import steiner
@@ -206,54 +207,63 @@ def criterion_4(seed=DEFAULT_SEED) -> CriterionResult:
 # -- 5: symmetrization property suite --------------------------------------------
 
 
+def _steiner_checks(x, dim: int, res: int) -> dict:
+    """Criterion 5's checks of one voxel set, by message in message order:
+    where each fails, a bool for one mask ``x``, an array for a word array."""
+    count, faces = _popcount(x), _face_count(x, dim, res)
+    syms = [_steiner(x, dim, res, axis) for axis in range(dim)]
+    checks = {}
+    for axis, s in enumerate(syms):
+        checks[f"volume changed along {axis}"] = _popcount(s) != count
+        checks[f"perimeter grew along {axis}"] = _face_count(s, dim, res) > faces
+        checks[f"not idempotent along {axis}"] = _steiner(s, dim, res, axis) != s
+    for i, j in itertools.permutations(range(dim), 2):
+        z = _steiner(syms[i], dim, res, j)
+        checks[f"stability broke ({i},{j})"] = _steiner(z, dim, res, i) != z
+    return checks
+
+
 def criterion_5(seed=DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(seed + 5)
-    cross_checked = 0
+    drawn, by_shape = [], {}
     for trial in range(PROPERTY_SETS):
         dim = 2 if trial % 2 == 0 else 3
         m = int(rng.integers(2, 9 if dim == 2 else 7))
-        v = random_voxel(rng, dim, m)
-        base_faces = v.face_count()
-        base_count = v.count()
-        syms = []
-        for axis in range(dim):
-            s = v.steiner(axis)
-            syms.append(s)
-            if s.count() != base_count:
-                failures.append(f"trial {trial}: volume changed along {axis}")
-            if s.face_count() > base_faces:
-                failures.append(f"trial {trial}: perimeter grew along {axis}")
-            if s.steiner(axis) != s:
-                failures.append(f"trial {trial}: not idempotent along {axis}")
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                z = syms[i].steiner(j)
-                if z.steiner(i) != z:
-                    failures.append(f"trial {trial}: stability broke ({i},{j})")
-        if trial % (PROPERTY_SETS // 100) == 0 and m <= 5:
+        drawn.append(random_voxel(rng, dim, m))
+        by_shape.setdefault((dim, m), []).append(trial)
+    failed: dict[int, list[str]] = {}  # by trial, in message order
+    for (dim, m), trials in by_shape.items():
+        masks = [drawn[trial].mask for trial in trials]
+        if m**dim <= 64:  # one word batch
+            checks = _steiner_checks(np.array(masks, dtype=np.uint64), dim, m)
+        else:  # the int path, set by set
+            per_set = [_steiner_checks(mask, dim, m) for mask in masks]
+            checks = {name: np.array([c[name] for c in per_set]) for name in per_set[0]}
+        for name, where in checks.items():
+            for k in np.flatnonzero(where):
+                failed.setdefault(trials[k], []).append(name)
+    cross_checked = 0
+    for trial, v in enumerate(drawn):
+        failures += [f"trial {trial}: {name}" for name in failed.get(trial, ())]
+        if trial % (PROPERTY_SETS // 100) == 0 and v.res <= 5:
             x = devoxelize(v)
-            for axis in range(dim):
-                exact = steiner(x, axis)
-                if voxelize(exact, m) != syms[axis]:
+            for axis in range(v.dim):
+                if voxelize(steiner(x, axis), v.res) != v.steiner(axis):
                     failures.append(f"trial {trial}: voxel/exact paths disagree")
             cross_checked += 1
         if len(failures) > 8:
             break
-    audit_notes = []
     for dim, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
         out = equality_case_audit(dim, m, limit=4, stop_after=4)
         if out.violations:
             cells = out.violations[0].flat_indices()
-            audit_notes.append(
+            failures.append(
                 f"equality-case audit (n={dim}, m={m}): perimeter preserved "
                 f"without an isometry witness, e.g. cells {cells}"
                 + (" [stopped early]" if out.stopped_early else "")
             )
-    failures.extend(audit_notes)
     return _result(
         5,
         start,

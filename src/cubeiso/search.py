@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, ResolutionCapError
-from .geometry import VoxelSet, _face_count, _popcount
+from .exhaustive import _CHUNK_BITS, _mask_chunks
+from .geometry import VoxelSet, _popcount
 
 __all__ = [
     "MonotoneShape",
@@ -238,20 +239,22 @@ def brute_min(dim: int, res: int, cells: int) -> BruteResult:
     )
 
 
-def _all_subsets_minima(dim: int, res: int) -> dict:
-    """Per-cell-count minima over every voxel subset, as masks, counted in
-    one batch of ``uint32`` words (the capped grids have at most 16 cells)."""
+def _all_subsets_minima(dim: int, res: int, chunk_bits: int = _CHUNK_BITS) -> dict:
+    """Per-cell-count minima over every voxel subset, as masks, in two
+    passes of the exhaustive scan: the minimum face count per cell count,
+    then the masks that attain it, in mask order."""
     n_cells = res**dim
-    masks = np.arange(1 << n_cells, dtype=np.uint32)
-    faces = _face_count(masks, dim, res)
-    counts = _popcount(masks)
-    out: dict[int, tuple[int, list]] = {}
-    for k in range(n_cells + 1):
-        sel = counts == k
-        fmin = int(faces[sel].min())
-        idx = np.flatnonzero(sel & (faces == fmin))
-        out[k] = (fmin, masks[idx].tolist())
-    return out
+    best = np.full(n_cells + 1, 255, dtype=np.uint8)  # above every face count
+    for masks, faces in _mask_chunks(dim, res, chunk_bits):
+        np.minimum.at(best, _popcount(masks), faces)
+    del masks, faces  # the last chunk is not held through the second pass
+    found: list[list[int]] = [[] for _ in best]
+    for masks, faces in _mask_chunks(dim, res, chunk_bits):
+        counts = _popcount(masks)
+        hit = faces == best[counts]
+        for mask, k in zip(masks[hit].tolist(), counts[hit].tolist()):
+            found[k].append(mask)
+    return {k: (int(best[k]), argmin) for k, argmin in enumerate(found)}
 
 
 @lru_cache(maxsize=4)

@@ -114,8 +114,8 @@ MUTANTS = (
     Mutant(
         "iso-chunk-table-one-bit-off",
         "cubeiso/exhaustive.py",
-        "table = np.concatenate([table, table | 1 << int(lands[i])])",
-        "table = np.concatenate([table, table | 2 << int(lands[i])])",
+        "weights = np.left_shift(word(1), lands)",
+        "weights = np.left_shift(word(2), lands)",
         (
             "tests/test_exhaustive.py::test_iso_chunk_tables_match_the_written_out_loops",
             "tests/test_exhaustive.py::test_iso_chunk_tables_map_masks_to_their_images[3-3]",
@@ -125,8 +125,8 @@ MUTANTS = (
     Mutant(
         "3x3x3-scan-symmetrizes-axis-0",
         "cubeiso/exhaustive.py",
-        "sym = _steiner(masks, 3, 3, 2)",
-        "sym = _steiner(masks, 3, 3, 0)",
+        "axes = (2,) if (dim, res) == (3, 3)",
+        "axes = (0,) if (dim, res) == (3, 3)",
         (
             "tests/test_exhaustive.py::test_3d_m3_stopped_scan_counts_what_it_checked",
             "tests/test_exhaustive.py::test_3d_m3_first_chunk_matches_the_cell_array_reference",
@@ -135,11 +135,52 @@ MUTANTS = (
     Mutant(
         "reversed-isometry-weights",
         "cubeiso/exhaustive.py",
-        "lands[src] = np.arange(n)",
-        "lands[np.arange(n)] = src",
+        "row[src] = np.arange(n)",
+        "row[np.arange(n)] = src",
         (
             "tests/test_exhaustive.py::test_iso_chunk_tables_match_the_written_out_loops",
             "tests/test_exhaustive.py::test_iso_chunk_tables_map_masks_to_their_images[3-3]",
+        ),
+    ),
+    Mutant(
+        "small-grid-scans-one-axis-fewer",
+        "cubeiso/exhaustive.py",
+        "else range(dim)",
+        "else range(dim - 1)",
+        (
+            "tests/test_exhaustive.py::test_smallest_grid_is_clean",
+            "tests/test_exhaustive.py::test_small_audit_matches_the_cell_array_reference",
+        ),
+    ),
+    Mutant(
+        "chunk-boundary-off-by-one-mask",
+        "cubeiso/exhaustive.py",
+        "np.arange(start, min(start + step, total), dtype=np.uint32)",
+        "np.arange(start, min(start + step + 1, total), dtype=np.uint32)",
+        (
+            "tests/test_exhaustive.py::test_audit_in_small_chunks_matches_one_chunk",
+            "tests/test_exhaustive.py::test_general_minima_in_small_chunks_match_one_chunk",
+            "tests/test_exhaustive.py::test_3d_m3_first_chunk_matches_the_cell_array_reference",
+        ),
+    ),
+    Mutant(
+        "last-isometry-block-skipped",
+        "cubeiso/exhaustive.py",
+        "for lo in range(0, n_iso, block):",
+        "for lo in range(0, n_iso - block, block):",
+        (
+            "tests/test_exhaustive.py::test_isometric_reaches_every_block_of_the_group",
+            "tests/test_exhaustive.py::test_small_audit_matches_the_cell_array_reference[2-4]",
+        ),
+    ),
+    Mutant(
+        "minimizers-read-a-minimum-before-the-last-chunk",
+        "cubeiso/search.py",
+        "np.minimum.at(best, _popcount(masks), faces)",
+        "np.minimum.at(best, _popcount(masks), faces) if masks[-1] < (1 << n_cells) - 1 else None",
+        (
+            "tests/test_exhaustive.py::test_general_minima_in_small_chunks_match_one_chunk",
+            "tests/test_search.py::TestBruteMin::test_general_equals_monotone",
         ),
     ),
     Mutant(

@@ -12,7 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubeiso.exhaustive import _iso_chunk_tables, equality_case_audit
+from cubeiso import search
+from cubeiso.exhaustive import (
+    _CHUNK_BITS,
+    _audit,
+    _isometric,
+    _iso_chunk_tables,
+    equality_case_audit,
+)
 from cubeiso.geometry import (
     VoxelSet,
     _face_count,
@@ -119,26 +126,46 @@ def _iso_chunk_tables_reference():
 
 
 def test_iso_chunk_tables_match_the_written_out_loops():
-    derived = _iso_chunk_tables(3, 3, 9)
+    """One table per 9-cell chunk, stacked over the 48 isometries."""
+    derived = _iso_chunk_tables(3, 3)
     reference = _iso_chunk_tables_reference()
-    assert len(derived) == len(reference) == 48
-    for tabs, ref_tabs in zip(derived, reference):
-        for tab, ref in zip(tabs, ref_tabs, strict=True):
-            assert tab.dtype == np.uint32
-            assert np.array_equal(tab, ref)
+    assert len(reference) == 48
+    assert [(t.dtype, t.shape) for t in derived] == [(np.uint32, (48, 512))] * 3
+    for g, ref_tabs in enumerate(reference):
+        for table, ref in zip(derived, ref_tabs, strict=True):
+            assert np.array_equal(table[g], ref)
 
 
 @pytest.mark.parametrize("dim,res", [(1, 5), (2, 3), (2, 4), (3, 2), (3, 3), (2, 8), (3, 4)])
 def test_iso_chunk_tables_map_masks_to_their_images(dim, res):
     rng = np.random.default_rng(47)
     masks = rng.integers(0, 2**64, size=40, dtype=np.uint64) >> (64 - res**dim)
-    chunks = [(masks >> start) & 0xFF for start in range(0, res**dim, 8)]
-    for g, tables in zip(all_isometries(dim), _iso_chunk_tables(dim, res), strict=True):
-        word = np.uint32 if res**dim <= 32 else np.uint64
-        assert all(t.dtype == word and len(t) <= 256 for t in tables)
-        images = np.bitwise_or.reduce([t[c] for t, c in zip(tables, chunks, strict=True)])
+    chunks = [(masks >> start) & 511 for start in range(0, res**dim, 9)]
+    tables = _iso_chunk_tables(dim, res)
+    group = all_isometries(dim)
+    word = np.uint32 if res**dim <= 32 else np.uint64
+    assert all(t.dtype == word and len(t) == len(group) and t.shape[1] <= 512 for t in tables)
+    for row, g in enumerate(group):
+        images = np.bitwise_or.reduce([t[row, c] for t, c in zip(tables, chunks, strict=True)])
         for mask, image in zip(masks.tolist(), images.tolist()):
             assert image == VoxelSet.from_mask(dim, res, mask).apply(g).mask
+
+
+def test_isometric_reaches_every_block_of_the_group():
+    """5000 masks of the 3x3x3 grid map through the 48 isometries in blocks
+    of 13; each is matched against its image under one isometry, taken in
+    turn, so every block holds the match of some masks."""
+    rng = np.random.default_rng(48)
+    xs = rng.integers(0, 1 << 27, size=5000, dtype=np.uint32)
+    group = all_isometries(3)
+    images = [
+        VoxelSet.from_mask(3, 3, int(x)).apply(group[i % 48]).mask for i, x in enumerate(xs)
+    ]
+    targets = np.array(images, dtype=np.uint32)
+    assert _isometric(xs, targets, 3, 3).all()
+    # every isometry fixes the centre cell, so no image differs from its
+    # source there
+    assert not _isometric(xs, targets ^ 1 << 13, 3, 3).any()
 
 
 def _audit_reference(dim, res, masks, axes, limit):
@@ -177,11 +204,38 @@ def _audit_small_reference(dim, res, limit):
 
 @pytest.mark.parametrize("dim,res", [(2, 2), (2, 3), (2, 4), (3, 2)])
 def test_small_audit_matches_the_cell_array_reference(dim, res):
-    out = equality_case_audit(dim, res, limit=7)
-    checked, preserved, violations = _audit_small_reference(dim, res, 7)
-    assert (out.checked, out.perimeter_preserving) == (checked, preserved)
-    assert [v.flat_indices() for v in out.violations] == violations
-    assert not out.stopped_early
+    """Below the limit the violations of every axis are listed; at it, the
+    later axes give way to the earlier ones.  A small grid is one chunk, so
+    it never stops early."""
+    for limit, stop_after in ((4, 4), (7, 0), (40, 40)):
+        out = equality_case_audit(dim, res, limit=limit, stop_after=stop_after)
+        checked, preserved, violations = _audit_small_reference(dim, res, limit)
+        assert (out.checked, out.perimeter_preserving) == (checked, preserved)
+        assert [v.flat_indices() for v in out.violations] == violations
+        assert not out.stopped_early
+
+
+def _frozen(out):
+    return out.checked, out.perimeter_preserving, [v.mask for v in out.violations], out.stopped_early
+
+
+@pytest.mark.parametrize("limit", [4, 40, 2000])
+def test_audit_in_small_chunks_matches_one_chunk(limit):
+    """The 4x4 grid in 64 chunks of 2^10 masks gives the outcome of its one
+    chunk of 2^16: the same counts and the same violations in order."""
+    assert _CHUNK_BITS >= 16
+    one = _audit(2, 4, limit, 0, _CHUNK_BITS)
+    assert _frozen(_audit(2, 4, limit, 0, 10)) == _frozen(one)
+    assert len(one.violations) == min(limit, 864)
+
+
+def test_general_minima_in_small_chunks_match_one_chunk():
+    """The per-k minimum of the first pass is read by the second only once
+    every chunk is in; up to half the grid it is the monotone minimum."""
+    one = search._all_subsets_minima(2, 4, _CHUNK_BITS)
+    assert search._all_subsets_minima(2, 4, 10) == one
+    assert [one[k][0] for k in range(9)] == [search.brute_sweep(2, 4)[k][0] for k in range(9)]
+    assert one[16] == (0, [(1 << 16) - 1])
 
 
 def test_3d_m3_first_chunk_matches_the_cell_array_reference():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from cubeiso import search
+from cubeiso import exhaustive, search
 from cubeiso.errors import DomainError, ResolutionCapError
 from cubeiso.geometry import VoxelSet, _neighbours, devoxelize
 from cubeiso.search import (
@@ -112,8 +112,8 @@ class TestBruteMin:
             )
 
         peaks, minima = [], []
-        for kernel in (per_axis, search._face_count):
-            monkeypatch.setattr(search, "_face_count", kernel)
+        for kernel in (per_axis, exhaustive._face_count):
+            monkeypatch.setattr(exhaustive, "_face_count", kernel)
             search._all_subsets_minima(2, 4)  # builds the shape's tables
             tracemalloc.start()
             minima.append(search._all_subsets_minima(2, 4))

@@ -21,7 +21,6 @@ from .classify import (
     V2,
     ClassificationResult,
     CompetitorCertificate,
-    FaceForm,
     Infeasible,
     ProfileEntry,
     SpecialFamily,
@@ -29,7 +28,6 @@ from .classify import (
     classify,
     classify_special,
     competitor,
-    face_form,
     profile,
     profile2d,
     realize,
@@ -88,7 +86,6 @@ __all__ = [
     "CubeIsometry",
     "CubicalSet",
     "Enclosure",
-    "FaceForm",
     "Infeasible",
     "MonotoneShape",
     "ProfileEntry",
@@ -116,7 +113,6 @@ __all__ = [
     "enumerate_monotone",
     "equal_up_to_isometry",
     "event_horizon",
-    "face_form",
     "improve_step",
     "is_special",
     "is_symmetrized",

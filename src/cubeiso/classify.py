@@ -50,7 +50,6 @@ from .variation import (
 __all__ = [
     "V1",
     "V2",
-    "FaceForm",
     "SpecialFamily",
     "StationaryParameters",
     "Infeasible",
@@ -58,7 +57,6 @@ __all__ = [
     "ClassificationResult",
     "ProfileEntry",
     "realize",
-    "face_form",
     "special_family",
     "stationary_parameters",
     "competitor",
@@ -126,58 +124,6 @@ def realize(family: str, params) -> CubicalSet:
             ],
         )
     raise DomainError(f"unknown family {family!r}")
-
-
-# -- face forms ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaceForm:
-    """Shape of a wall face: empty, rectangle [0,a]x[0,b], or the L-shape
-    ([0,a]x[0,1]) u ([0,1]x[0,b])."""
-
-    tag: str  # empty | rect | l_shape
-    a: Optional[Fraction] = None
-    b: Optional[Fraction] = None
-
-
-def _classify_face(face: CubicalSet) -> FaceForm:
-    """Read off the face's grid: the rectangle is its origin cell alone,
-    the L-shape all cells of a 2 x 2 grid but the far one."""
-    (g0, g1), occ = face.grids, face.occ
-    if face.is_empty:
-        return FaceForm("empty")
-    if np.count_nonzero(occ) == 1 and occ[0, 0]:
-        return FaceForm("rect", g0[1], g1[1])
-    if occ.tolist() == [[True, True], [True, False]]:
-        return FaceForm("l_shape", g0[1], g1[1])
-    return FaceForm("other")
-
-
-def face_form(x: CubicalSet, axis: int, xi: int) -> FaceForm:
-    """Classified wall face ``x`` meets at ``axis``-coordinate ``xi``.
-
-    Requires a special set; any face outside the three admissible forms
-    contradicts specialness and raises.
-    """
-    if x.dim != 3:
-        raise DomainError("face forms are defined for dimension 3")
-    if not is_special(x):
-        raise NotSpecialError("face_form requires a special set")
-    if xi == 0:
-        face = x.cross_section(axis, ZERO, "above")
-    elif xi == 1:
-        face = x.cross_section(axis, ONE, "below")
-    else:
-        raise DomainError("xi must be 0 or 1")
-    form = _classify_face(face)
-    if form.tag == "other":
-        raise InconsistentFamilyError(
-            f"face at axis {axis}, wall {xi} lies outside the admissible forms"
-        )
-    if form.tag == "empty" and xi == 0:
-        raise InconsistentFamilyError("an empty face can only sit at the far wall")
-    return form
 
 
 # -- family detection ---------------------------------------------------------
@@ -254,9 +200,6 @@ class StationaryParameters:
     family: str
     facts: tuple[str, ...]
     values: dict
-
-    def scalar(self, name: str) -> Scalar:
-        return self.values[name]
 
 
 @dataclass(frozen=True)
@@ -375,11 +318,8 @@ def _best_2d_replacement(a: Fraction, b: Fraction) -> Optional[CubicalSet]:
     # strip of width w
     if ONE < per_l:
         return CubicalSet.from_coords(2, [((0, 0), (w, 1))])
-    # near-square rectangle p x (w/p), perimeter p + w/p -> 2 sqrt(w)
+    # no p x (w/p) rectangle wins: a + b >= 1 gives w >= 3/4, so p + w/p >= 2 sqrt(w) > 1
     for bits in (16, 32, 64, 128, 256):
-        p = _simplest(nth_root(w, 2, bits))
-        if ZERO < p < ONE and ZERO < w / p < ONE and p + w / p < per_l:
-            return CubicalSet.from_coords(2, [((0, 0), (p, w / p))])
         # symmetric-L replacement: u = v solves 2u - u^2 = w, perimeter
         # 2(1-u) -> 2 sqrt(1-w); rationalize u, solve v exactly from the area
         u = _simplest(_one_minus(nth_root(ONE - w, 2, bits)))

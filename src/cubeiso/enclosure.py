@@ -41,9 +41,6 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
     def __float__(self) -> float:
         return float(self.midpoint())
 

@@ -44,10 +44,6 @@ class AuditOutcome:
     violations: list  # VoxelSet counterexamples (capped)
     stopped_early: bool
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.stopped_early
-
 
 # Masks per chunk: 2^16 holds every smaller audited grid in one chunk and
 # keeps a chunk's arrays near 1 MB; criterion 5's 3x3x3 audit, which stops

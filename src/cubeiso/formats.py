@@ -18,7 +18,7 @@ import json
 import re
 from fractions import Fraction
 from .errors import DomainError, FormatError, RationalParseError
-from .geometry import MAX_GRID_CELLS, AxisBox, CubicalSet, VoxelSet, boundary_faces
+from .geometry import MAX_GRID_CELLS, AxisBox, CubicalSet, VoxelSet, boundary_faces, devoxelize
 
 MAX_DIM = 32  # the files' bound since their first version; NumPy 2 arrays hold 64 axes
 MAX_VOXEL_CELLS = MAX_GRID_CELLS  # res**dim of the largest voxel file read
@@ -180,7 +180,7 @@ def load_set(path: str) -> CubicalSet:
             ) from None
     obj = _json_object(text, "set or voxel")
     if "res" in obj:
-        return _voxel_from_object(obj).to_cubical()
+        return devoxelize(_voxel_from_object(obj))
     try:
         return _set_from_object(obj)
     except RationalParseError as exc:
@@ -224,15 +224,10 @@ def export_obj(x: CubicalSet) -> str:
                 others = [k for k in range(3) if k != axis]
                 p[others[0]], p[others[1]] = u, v
                 quad.append(tuple(p))
-            # cyclic corners; candidate diagonals (0,2) and (1,3)
-            d02 = tuple(sorted((quad[0], quad[2])))
-            d13 = tuple(sorted((quad[1], quad[3])))
-            if d02 <= d13:
-                triangles.append((quad[0], quad[1], quad[2]))
-                triangles.append((quad[0], quad[2], quad[3]))
-            else:
-                triangles.append((quad[1], quad[2], quad[3]))
-                triangles.append((quad[1], quad[3], quad[0]))
+            # cyclic corners: corner 0 is the least and corner 2 the greatest,
+            # so the diagonal (0, 2) is the lexicographically smaller one
+            triangles.append((quad[0], quad[1], quad[2]))
+            triangles.append((quad[0], quad[2], quad[3]))
 
     tri_ids = [tuple(vid(p) for p in t) for t in triangles]
     corners = [

@@ -700,9 +700,6 @@ class VoxelSet:
     def count(self) -> int:
         return self.mask.bit_count()
 
-    def volume(self) -> Fraction:
-        return Fraction(self.count(), self.res**self.dim)
-
     def face_count(self) -> int:
         """Number of interior cell faces on the boundary (cube walls excluded)."""
         return _face_count(self.mask, self.dim, self.res)
@@ -730,9 +727,6 @@ class VoxelSet:
             _transform_cells(cells, self.dim, g.perm, g.flip).tobytes()
             for g in all_isometries(self.dim)
         )
-
-    def to_cubical(self) -> CubicalSet:
-        return devoxelize(self)
 
 
 def _set_fields(v: VoxelSet, res: int, dim: int, mask: int) -> None:

@@ -73,12 +73,6 @@ class MonotoneShape:
         caps = sum(1 for row in h for v in row if 0 < v < m)
         return walls_i + walls_j + caps
 
-    def relative_perimeter(self) -> Fraction:
-        return Fraction(self.face_count(), self.res ** (self.dim - 1))
-
-    def volume(self) -> Fraction:
-        return Fraction(self.cell_count(), self.res**self.dim)
-
     def to_voxel(self) -> VoxelSet:
         m = self.res
         h = np.array(self.heights)
@@ -162,10 +156,6 @@ class BruteResult:
     cells: int
     min_perimeter: Fraction
     minimizers: tuple[VoxelSet, ...]  # orbit representatives
-
-    @property
-    def volume(self) -> Fraction:
-        return Fraction(self.cells, self.res**self.dim)
 
 
 def _dedup_orbits(sets: Iterable[VoxelSet]) -> tuple[VoxelSet, ...]:

@@ -243,6 +243,34 @@ MUTANTS = (
             "tests/test_classify.py::TestCompetitors::test_tiny_tube_takes_the_simplest_cube_side",
         ),
     ),
+    Mutant(
+        "symmetric-l-leg-from-the-wrong-area",
+        "cubeiso/classify.py",
+        "v = (w - u) / (ONE - u)",
+        "v = (w - u) / (ONE + u)",
+        ("tests/test_classify.py::TestCompetitors::test_l_prism_symmetric_l_with_rational_root",),
+    ),
+    Mutant(
+        "simplest-rounds-an-exact-end-up",
+        "cubeiso/classify.py",
+        "t = a + (rem != 0)",
+        "t = a + 1",
+        ("tests/test_classify.py::test_simplest_matches_stern_brocot_walk",),
+    ),
+    Mutant(
+        "stale-export",
+        "cubeiso/classify.py",
+        '    "realize",\n',
+        '    "realize",\n    "face_form",\n',
+        ("tests/test_surface.py::test_every_exported_name_resolves",),
+    ),
+    Mutant(
+        "obj-second-triangle-reversed",
+        "cubeiso/formats.py",
+        "triangles.append((quad[0], quad[2], quad[3]))",
+        "triangles.append((quad[0], quad[3], quad[2]))",
+        ("tests/test_cli_golden.py::test_cli_output_is_pinned",),
+    ),
 )
 
 

@@ -15,7 +15,6 @@ from cubeiso.classify import (
     classify,
     classify_special,
     competitor,
-    face_form,
     profile,
     profile2d,
     realize,
@@ -35,25 +34,6 @@ HALF = F(1, 2)
 
 def cs(dim, pairs):
     return CubicalSet.from_coords(dim, pairs)
-
-
-class TestFaceForm:
-    def test_cube_faces(self):
-        x = realize("box", (F(1, 3),) * 3)
-        near = face_form(x, 0, 0)
-        assert (near.tag, near.a, near.b) == ("rect", F(1, 3), F(1, 3))
-        assert face_form(x, 0, 1).tag == "empty"
-
-    def test_tri_slab_far_face_is_l(self):
-        x = realize("tri_slab", (F(1, 5), F(1, 4), F(1, 6)))
-        form = face_form(x, 0, 1)
-        assert form.tag == "l_shape"
-        assert (form.a, form.b) == (F(1, 4), F(1, 6))
-
-    def test_requires_special(self):
-        shifted = cs(3, [((F(1, 4), 0, 0), (HALF, 1, 1))])
-        with pytest.raises(NotSpecialError):
-            face_form(shifted, 0, 0)
 
 
 class TestSpecialFamily:
@@ -115,6 +95,11 @@ class TestSpecialFamily:
         for y in images:
             assert equal_up_to_isometry(x, y) is not None
 
+    def test_requires_special(self):
+        shifted = cs(3, [((F(1, 4), 0, 0), (HALF, 1, 1))])
+        with pytest.raises(NotSpecialError):
+            special_family(shifted)
+
 
 class TestStationaryParameters:
     def test_box_exact_cube_root(self):
@@ -137,6 +122,28 @@ class TestStationaryParameters:
         assert sp.facts == ("a=b",)
         assert sp.values["a"] == HALF
 
+    def test_slab_thickness_is_the_volume(self):
+        for v in (F(1, 10), F(1, 4), HALF):
+            sp = stationary_parameters("slab", v)
+            assert sp.facts == ()
+            assert sp.values["a"] == v
+
+    def test_l_prism_exact_root(self):
+        # a(2-a) = 7/16 at a = 1 - sqrt(9/16) = 1/4
+        v = F(7, 16)
+        sp = stationary_parameters("l_prism", v)
+        assert sp.facts == ("a=b", "c=1")
+        a, c = sp.values["a"], sp.values["c"]
+        assert (a, c) == (F(1, 4), 1)
+        assert realize("l_prism", (a, a, c)).volume() == v
+
+    def test_l_prism_irrational_root(self):
+        v = F(1, 3)  # a = 1 - sqrt(2/3)
+        a = stationary_parameters("l_prism", v).values["a"]
+        assert isinstance(a, Enclosure)
+        assert a.width <= F(1, 2**64)
+        assert a.lo * (2 - a.lo) <= v <= a.hi * (2 - a.hi)
+
     def test_slab_leg_infeasible(self):
         for v in (F(1, 10), F(1, 4), HALF):
             assert isinstance(stationary_parameters("slab_leg", v), Infeasible)
@@ -146,6 +153,10 @@ class TestStationaryParameters:
         a = sp.values["a"]
         got = a if isinstance(a, F) else a.lo
         assert got == HALF  # 3a^2 - 2a^3 = 1/2 at a = 1/2 exactly
+
+    def test_tripod_root_at_a_bisection_midpoint(self):
+        # 3a^2 - 2a^3 = 5/32 at a = 1/4, the first midpoint of [0, 1/2]
+        assert stationary_parameters("tripod", F(5, 32)).values["a"] == F(1, 4)
 
     def test_volume_domain(self):
         with pytest.raises(DomainError):

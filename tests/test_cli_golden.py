@@ -1,10 +1,10 @@
 """CLI output pinned byte for byte.
 
-``classify``, ``symmetrize``, ``reduce`` and ``firstvar`` run through
-``cli.main`` on fixed set files: voxel sets on both sides of volume 1/2,
-planted cubes, tubes and slabs under cube isometries, a tripod, and unions
-of boxes with prime denominators, one of them past 2^63 in its denominator
-product.  ``firstvar`` also runs on the outputs of ``symmetrize`` and
+``classify``, ``symmetrize``, ``reduce``, ``firstvar`` and ``export-mesh``
+run through ``cli.main`` on fixed set files: voxel sets on both sides of
+volume 1/2, planted cubes, tubes and slabs under cube isometries, a tripod,
+and unions of boxes with prime denominators, one of them past 2^63 in its
+denominator product.  ``firstvar`` also runs on the outputs of ``symmetrize`` and
 ``reduce``.  Every command also runs on malformed set texts, which must end
 with a clean message naming what is wrong.  The exit code, standard output
 and standard error of every run must equal ``cli_golden.json``.
@@ -23,7 +23,7 @@ from pathlib import Path
 from cubeiso import cli
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
-COMMANDS = ("classify", "symmetrize", "reduce", "firstvar")
+COMMANDS = ("classify", "symmetrize", "reduce", "firstvar", "export-mesh")
 
 
 def _voxel(res: int, count: int, seed: int) -> dict:

@@ -20,7 +20,7 @@ from cubeiso.errors import (
 )
 from cubeiso import geometry, variation
 from cubeiso.classify import classify, realize
-from cubeiso.geometry import CubicalSet, VoxelSet
+from cubeiso.geometry import CubicalSet, VoxelSet, devoxelize
 from cubeiso.sampling import random_monotone_set
 from cubeiso.symmetrize import is_symmetrized, steiner, symmetrize_all
 from cubeiso.variation import (
@@ -509,7 +509,7 @@ WALL_TIE_CELLS = [
 
 
 def test_wall_event_wins_a_tie():
-    x = VoxelSet.from_indices(3, 5, WALL_TIE_CELLS).to_cubical()
+    x = devoxelize(VoxelSet.from_indices(3, 5, WALL_TIE_CELLS))
     assert x.volume() == F(14, 25)
     c = x.complement()
     y, log = reduce_to_special(c)
@@ -570,7 +570,7 @@ def test_joint_motion_matches_the_full_event_enumeration(monkeypatch):
     monkeypatch.setattr(variation, "_joint_motion", checked)
     for _ in range(20):  # the merge and improve pairs of reductions
         reduce_to_special(random_monotone_set(rng, 3, 5, max_cells=60))
-    reduce_to_special(VoxelSet.from_indices(3, 5, WALL_TIE_CELLS).to_cubical().complement())
+    reduce_to_special(devoxelize(VoxelSet.from_indices(3, 5, WALL_TIE_CELLS)).complement())
     assert {step for step, _ in seen} == {"merge_step", "improve_step"}
     assert any(wall_tie for _, wall_tie in seen)
 
